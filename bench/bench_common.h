@@ -1,6 +1,6 @@
 // Shared helpers for the experiment harnesses (bench_* binaries).
-// Each binary regenerates one experiment from DESIGN.md §3 and prints a
-// paper-style table; EXPERIMENTS.md records the measured shapes.
+// Each binary regenerates one experiment and prints a paper-style table;
+// docs/BENCHMARKS.md describes the experiments and their JSON outputs.
 
 #ifndef DATACELL_BENCH_BENCH_COMMON_H_
 #define DATACELL_BENCH_BENCH_COMMON_H_

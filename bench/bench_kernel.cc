@@ -125,7 +125,7 @@ void BM_Sort(benchmark::State& state) {
 }
 BENCHMARK(BM_Sort)->Arg(1 << 14)->Arg(1 << 17);
 
-// Ablation for the compiler's predicate strategy (DESIGN.md §4.3): a
+// Ablation for the compiler's predicate strategy: a
 // conjunction evaluated as a candidate chain (select on the shrinking
 // candidate list) vs the boolean-map fallback (materialize full bool
 // columns, AND them, then filter). The chain wins whenever the first

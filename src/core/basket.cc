@@ -262,6 +262,12 @@ void Basket::SetDurabilityHooks(DurabilityHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
+void Basket::WithLogPosition(
+    const std::function<void(const LogPosition&)>& fn) {
+  MutexLock lock(mu_);
+  fn(LogPosition{high_, append_batches_, watermark_, sealed_});
+}
+
 Status Basket::RestoreLogPosition(uint64_t start_seq, uint64_t next_ordinal,
                                   Micros watermark, bool sealed) {
   MutexLock lock(mu_);

@@ -180,6 +180,21 @@ class Basket {
   };
   void SetDurabilityHooks(DurabilityHooks hooks);
 
+  /// Where the basket's log stands: the next row sequence, the next batch
+  /// ordinal, the watermark, and the sealed flag — what a WAL segment
+  /// head records.
+  struct LogPosition {
+    uint64_t high_seq = 0;
+    uint64_t next_ordinal = 0;
+    Micros watermark = INT64_MIN;
+    bool sealed = false;
+  };
+  /// Runs `fn` inside the basket lock with the current log position, so
+  /// no append (and no durability hook) can land between reading the
+  /// position and what `fn` does with it. Like the hooks, `fn` may only
+  /// take locks ranked above kBasket.
+  void WithLogPosition(const std::function<void(const LogPosition&)>& fn);
+
   /// Recovery: positions an empty basket at the point its WAL starts —
   /// sequence numbers resume at `start_seq`, batch ordinals at
   /// `next_ordinal`, with the watermark/seal state accumulated by

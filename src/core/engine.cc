@@ -1,5 +1,11 @@
 #include "core/engine.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <mutex>
+
 #include "monitor/trace.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
@@ -36,6 +42,26 @@ void SharingKeys(const plan::CompiledQuery& cq, ExecMode mode,
   *full_key = *prefix_key + '\x1e' + cq.finish_signature + '\x1e' + geom;
 }
 
+// Allocator policy, set once per process (glibc only). Fires and
+// one-time queries allocate and free column buffers of hundreds of KB
+// to a few MB at a steady rate. glibc's defaults return freed memory at
+// the top of the heap to the kernel as soon as it passes a small
+// threshold, and serve requests over 128 KB with fresh mmaps until its
+// dynamic threshold has grown, so the next fire or query page-faults the
+// same buffers back in (measured: a 40 K-row one-time join took ≈ 1.8×
+// longer). Keep column-sized buffers on the heap, and up to 32 MB of
+// freed heap mapped.
+void TuneAllocator() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  // mallopt is not thread-safe against itself; call_once serializes it.
+  std::call_once(once, [] {
+    mallopt(M_MMAP_THRESHOLD, 8 << 20);   // NOLINT(concurrency-mt-unsafe)
+    mallopt(M_TRIM_THRESHOLD, 32 << 20);  // NOLINT(concurrency-mt-unsafe)
+  });
+#endif
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -43,6 +69,7 @@ Engine::Engine(EngineOptions options)
       scheduler_(Scheduler::Options{options.scheduler_workers,
                                     options.scheduler_shards,
                                     options.scheduler_work_stealing}) {
+  TuneAllocator();
   if (options_.enable_tracing) trace::AddEnableRef();
   if (!options_.durability.dir.empty()) {
     wal_env_ = options_.durability.env != nullptr ? options_.durability.env
@@ -62,6 +89,7 @@ Engine::Engine(EngineOptions options)
     recovery_status_ = InitDurability();
     recovering_ = false;
     restore_node_origins_.clear();
+    recovered_logs_.clear();
     if (!recovery_status_.ok()) {
       // Refuse partial recovery: run transient rather than append to logs
       // that could not be read back (docs/DURABILITY.md).
@@ -868,13 +896,15 @@ Status Engine::InitDurability() {
   if (have_snap || !cat.records.empty()) recovery_runs_->Add(1);
 
   // 3. Replay the catalog log. CREATE STREAM additionally positions the
-  // fresh basket at its WAL's head kReset (before any reader registers);
+  // fresh basket at the head kReset of its oldest WAL segment (before
+  // any reader registers) — only that first record is read here;
   // INSERTs into streams are skipped — their rows replay from the basket
   // WALs with exact batch boundaries and post-clamp timestamps.
   std::vector<std::string> stream_order;
-  std::map<std::string, storage::WalScan> basket_scans;
-  // Each basket WAL's kReset start_seq: the truncation floor. Restored
-  // cursors below it would read rows the log no longer has (step 5).
+  // Each basket WAL's first kReset start_seq: the truncation floor.
+  // Restored cursors below it would read rows the log no longer has
+  // (step 5). A basket is missing here when its oldest segment has no
+  // valid head — then nothing of its log is replayable.
   std::map<std::string, uint64_t> replay_base;
   for (const storage::WalRecord& rec : cat.records) {
     switch (rec.type) {
@@ -893,27 +923,34 @@ Status Engine::InitDurability() {
           const auto& create = std::get<sql::CreateStmt>(stmt);
           if (!create.is_stream) continue;
           stream_order.push_back(create.name);
-          Result<storage::WalScan> scan =
-              storage::ReadWalFile(d.dir + "/" + create.name + ".wal");
-          if (!scan.ok()) {
-            if (scan.status().IsNotFound()) continue;
-            return scan.status();
+          DC_ASSIGN_OR_RETURN(storage::WalSegmentListing listing,
+                              ListStreamSegments(create.name));
+          if (listing.numbers.empty()) continue;
+          RecoveredLog& log = recovered_logs_[create.name];
+          log.numbers = std::move(listing.numbers);
+          std::optional<storage::WalRecord> head;
+          if (Result<std::optional<storage::WalRecord>> r =
+                  storage::ReadWalHead(storage::WalSegmentPath(
+                      d.dir, create.name, log.numbers.front()));
+              r.ok()) {
+            head = std::move(r).value();
+          } else if (!r.status().IsNotFound()) {
+            return r.status();
           }
-          if (scan->records.empty()) continue;
-          if (scan->records[0].type != storage::WalRecordType::kReset) {
+          if (!head.has_value()) continue;
+          if (head->type != storage::WalRecordType::kReset) {
             return Status::Internal(StrFormat(
                 "basket WAL %s does not start with kReset",
                 create.name.c_str()));
           }
           DC_ASSIGN_OR_RETURN(storage::WalReset reset,
-                              storage::DecodeReset(scan->records[0]));
+                              storage::DecodeReset(*head));
           replay_base[create.name] = reset.start_seq;
           Basket* basket = GetBasket(create.name);
           if (basket == nullptr) return Status::Internal("basket missing");
           DC_RETURN_NOT_OK(basket->RestoreLogPosition(
               reset.start_seq, reset.next_ordinal, reset.watermark,
               reset.sealed));
-          basket_scans[create.name] = *std::move(scan);
         }
         replayed_records_->Add(1);
         break;
@@ -965,55 +1002,101 @@ Status Engine::InitDurability() {
   // 4. Replay basket data through the normal append path — windows,
   // join indexes, and grid partials rebuild under their own invariants.
   // Pump() after every record keeps the replay deterministic and matches
-  // the batch-at-a-time cadence the differential harness drives.
+  // the batch-at-a-time cadence the differential harness drives. The
+  // segments replay one at a time (one segment's bytes resident), and the
+  // log ends at the first torn record, missing segment, or segment whose
+  // head does not continue the replayed basket: everything after it is
+  // past the valid prefix (deleted when the engine goes live).
   for (const std::string& name : stream_order) {
-    auto sit = basket_scans.find(name);
-    if (sit == basket_scans.end()) continue;
+    if (replay_base.count(name) == 0) continue;
+    RecoveredLog& log = recovered_logs_[name];
     Basket* basket = GetBasket(name);
     if (basket == nullptr) return Status::Internal("basket missing");
-    const std::vector<storage::WalRecord>& records = sit->second.records;
-    for (size_t i = 1; i < records.size(); ++i) {
-      const storage::WalRecord& rec = records[i];
-      switch (rec.type) {
-        case storage::WalRecordType::kBatch: {
-          DC_ASSIGN_OR_RETURN(storage::WalBatch b, storage::DecodeBatch(rec));
-          if (b.begin_seq != basket->HighSeq()) {
-            return Status::Internal(StrFormat(
-                "basket WAL %s not contiguous: batch %llu begins at %llu, "
-                "basket is at %llu",
-                name.c_str(), static_cast<unsigned long long>(b.ordinal),
-                static_cast<unsigned long long>(b.begin_seq),
-                static_cast<unsigned long long>(basket->HighSeq())));
-          }
-          // Only this thread can drain during recovery: fail fast on
-          // backpressure and Pump() to make space.
-          Status s = basket->Append(b.cols, /*timeout_micros=*/0);
-          while (s.IsResourceExhausted()) {
-            if (Pump() == 0) {
-              return Status::Internal(StrFormat(
-                  "replay of %s stalled: basket full and nothing to pump",
-                  name.c_str()));
-            }
-            s = basket->Append(b.cols, /*timeout_micros=*/0);
-          }
-          DC_RETURN_NOT_OK(s);
-          replayed_rows_->Add(b.rows);
-          break;
-        }
-        case storage::WalRecordType::kHeartbeat: {
-          DC_ASSIGN_OR_RETURN(int64_t ts, storage::DecodeHeartbeat(rec));
-          basket->Heartbeat(ts);
-          break;
-        }
-        case storage::WalRecordType::kSeal:
-          basket->Seal();
-          break;
-        default:
-          return Status::Internal(StrFormat(
-              "unexpected record type in basket WAL %s", name.c_str()));
+    for (size_t i = 0; i < log.numbers.size(); ++i) {
+      if (i > 0 && log.numbers[i] != log.numbers[i - 1] + 1) break;
+      const std::string path =
+          storage::WalSegmentPath(d.dir, name, log.numbers[i]);
+      Result<storage::WalScan> scan = storage::ReadWalFile(path);
+      if (!scan.ok() && !scan.status().IsNotFound()) return scan.status();
+      if (!scan.ok() || scan->records.empty()) break;
+      const std::vector<storage::WalRecord>& records = scan->records;
+      if (records[0].type != storage::WalRecordType::kReset) {
+        return Status::Internal(StrFormat(
+            "basket WAL segment %s does not start with kReset", path.c_str()));
       }
-      replayed_records_->Add(1);
-      Pump();
+      DC_ASSIGN_OR_RETURN(storage::WalReset reset,
+                          storage::DecodeReset(records[0]));
+      if (i > 0) {
+        // A later head restates the state replay must already be in.
+        Basket::LogPosition at;
+        basket->WithLogPosition(
+            [&at](const Basket::LogPosition& p) { at = p; });
+        if (reset.start_seq != at.high_seq ||
+            reset.next_ordinal != at.next_ordinal) {
+          break;  // the previous segment lost its tail
+        }
+        if (reset.watermark != at.watermark || reset.sealed != at.sealed) {
+          return Status::Internal(StrFormat(
+              "basket WAL segment %s: replay diverged from its head "
+              "(watermark %lld vs %lld, sealed %d vs %d)",
+              path.c_str(), static_cast<long long>(at.watermark),
+              static_cast<long long>(reset.watermark), at.sealed ? 1 : 0,
+              reset.sealed ? 1 : 0));
+        }
+      }
+      storage::WalSegment seg{log.numbers[i], reset.start_seq, false,
+                              records.size() > 1};
+      for (size_t r = 1; r < records.size(); ++r) {
+        const storage::WalRecord& rec = records[r];
+        switch (rec.type) {
+          case storage::WalRecordType::kBatch: {
+            DC_ASSIGN_OR_RETURN(storage::WalBatch b,
+                                storage::DecodeBatch(rec));
+            if (b.begin_seq != basket->HighSeq()) {
+              return Status::Internal(StrFormat(
+                  "basket WAL %s not contiguous: batch %llu begins at %llu, "
+                  "basket is at %llu",
+                  name.c_str(), static_cast<unsigned long long>(b.ordinal),
+                  static_cast<unsigned long long>(b.begin_seq),
+                  static_cast<unsigned long long>(basket->HighSeq())));
+            }
+            // Only this thread can drain during recovery: fail fast on
+            // backpressure and Pump() to make space.
+            Status s = basket->Append(b.cols, /*timeout_micros=*/0);
+            while (s.IsResourceExhausted()) {
+              if (Pump() == 0) {
+                return Status::Internal(StrFormat(
+                    "replay of %s stalled: basket full and nothing to pump",
+                    name.c_str()));
+              }
+              s = basket->Append(b.cols, /*timeout_micros=*/0);
+            }
+            DC_RETURN_NOT_OK(s);
+            replayed_rows_->Add(b.rows);
+            seg.end_seq = b.begin_seq + b.rows;
+            seg.empty_batch_at_end = b.rows == 0;
+            break;
+          }
+          case storage::WalRecordType::kHeartbeat: {
+            DC_ASSIGN_OR_RETURN(int64_t ts, storage::DecodeHeartbeat(rec));
+            basket->Heartbeat(ts);
+            break;
+          }
+          case storage::WalRecordType::kSeal:
+            basket->Seal();
+            break;
+          default:
+            return Status::Internal(StrFormat(
+                "unexpected record type in basket WAL %s", path.c_str()));
+        }
+        replayed_records_->Add(1);
+        Pump();
+      }
+      log.replayed.push_back(seg);
+      if (!scan->clean_tail) {
+        log.torn_at = scan->valid_bytes;
+        break;
+      }
     }
   }
   Pump();
@@ -1078,7 +1161,8 @@ Status Engine::InitDurability() {
 
   // 6. Go live: open the catalog log for appending (truncating any torn
   // tail to the prefix we just replayed), attach writers + hooks to every
-  // basket, and adopt the snapshot's horizons as the truncation floor.
+  // basket (deleting log segments past the replayed prefix), and adopt
+  // the snapshot's horizons as the truncation floor.
   DC_ASSIGN_OR_RETURN(
       catalog_wal_,
       storage::WalWriter::Open(wal_env_, cat_path, storage::FsyncPolicy::kAlways,
@@ -1101,30 +1185,76 @@ Status Engine::InitDurability() {
   return Status::OK();
 }
 
+Result<storage::WalSegmentListing> Engine::ListStreamSegments(
+    const std::string& name) {
+  const std::string& dir = options_.durability.dir;
+  DC_ASSIGN_OR_RETURN(storage::WalSegmentListing listing,
+                      storage::ListWalSegments(dir, name));
+  if (!listing.legacy) return listing;
+  const std::string legacy = dir + "/" + name + ".wal";
+  if (!listing.numbers.empty()) {
+    return Status::Internal(StrFormat(
+        "basket WAL %s: a single-file log beside numbered segments — "
+        "remove one of them",
+        legacy.c_str()));
+  }
+  // A single-file log is a segment 0: same magic, kReset head, records.
+  DC_RETURN_NOT_OK(
+      wal_env_->Rename(legacy, storage::WalSegmentPath(dir, name, 0)));
+  DC_RETURN_NOT_OK(wal_env_->SyncDir(dir));
+  listing.numbers = {0};
+  listing.legacy = false;
+  return listing;
+}
+
 Status Engine::AttachStreamWal(const std::string& name,
                                const std::shared_ptr<Basket>& basket) {
   const EngineOptions::DurabilityOptions& d = options_.durability;
-  const std::string path = d.dir + "/" + name + ".wal";
-  bool has_head = false;
-  if (Result<storage::WalScan> scan = storage::ReadWalFile(path);
-      scan.ok() && !scan->records.empty()) {
-    has_head = true;
+  RecoveredLog log;
+  if (auto it = recovered_logs_.find(name); it != recovered_logs_.end()) {
+    log = std::move(it->second);
+    recovered_logs_.erase(it);
+  } else {
+    // Nothing replayed: any segment under this name belongs to no stream
+    // the catalog knows (a crash between a stream's first segment and
+    // its CREATE record) and is discarded below.
+    DC_ASSIGN_OR_RETURN(storage::WalSegmentListing listing,
+                        ListStreamSegments(name));
+    log.numbers = std::move(listing.numbers);
   }
-  DC_ASSIGN_OR_RETURN(
-      std::unique_ptr<storage::WalWriter> writer,
-      storage::WalWriter::Open(wal_env_, path, d.fsync,
-                               d.fsync_interval_batches, wal_counters_));
-  if (!has_head) {
-    // Fresh log: declare where it starts. (Always the basket's current
-    // state — zero on CREATE STREAM, the replayed position if a corrupt
-    // log was truncated all the way back to its magic.)
-    storage::WalReset reset;
-    reset.start_seq = basket->HighSeq();
-    reset.next_ordinal = basket->Stats().append_batches;
-    reset.watermark = basket->EventWatermark();
-    reset.sealed = basket->sealed();
-    DC_RETURN_NOT_OK(writer->Append(storage::EncodeReset(reset)));
-    DC_RETURN_NOT_OK(writer->Sync());
+  // Delete what lies past the replayed prefix, newest first: a crash
+  // midway leaves a shorter run after the same prefix, which the next
+  // recovery discards again.
+  const size_t keep = log.replayed.size();
+  for (size_t i = log.numbers.size(); i > keep; --i) {
+    DC_RETURN_NOT_OK(wal_env_->RemoveFile(
+        storage::WalSegmentPath(d.dir, name, log.numbers[i - 1])));
+  }
+  if (log.numbers.size() > keep) DC_RETURN_NOT_OK(wal_env_->SyncDir(d.dir));
+
+  std::unique_ptr<storage::WalWriter> writer;
+  if (log.replayed.empty()) {
+    // Fresh log: its head is the basket's current state — zero on CREATE
+    // STREAM, the replayed position if no segment had a valid head.
+    storage::WalReset head;
+    basket->WithLogPosition([&head](const Basket::LogPosition& p) {
+      head = {p.high_seq, p.next_ordinal, p.watermark, p.sealed};
+    });
+    DC_ASSIGN_OR_RETURN(
+        writer, storage::WalWriter::CreateSegmented(
+                    wal_env_, d.dir, name, /*number=*/0, head, d.fsync,
+                    d.fsync_interval_batches, wal_counters_));
+  } else {
+    if (log.torn_at.has_value()) {
+      // New records must extend the valid prefix, not follow a torn one.
+      DC_RETURN_NOT_OK(wal_env_->TruncateFile(
+          storage::WalSegmentPath(d.dir, name, log.replayed.back().number),
+          *log.torn_at));
+    }
+    DC_ASSIGN_OR_RETURN(
+        writer, storage::WalWriter::ResumeSegmented(
+                    wal_env_, d.dir, name, std::move(log.replayed), d.fsync,
+                    d.fsync_interval_batches, wal_counters_));
   }
   // The hooks run inside the basket lock (record order == append order)
   // and only take the writer's kWal mutex above it. Append failures
@@ -1133,8 +1263,10 @@ Status Engine::AttachStreamWal(const std::string& name,
   storage::WalWriter* w = writer.get();
   Basket::DurabilityHooks hooks;
   hooks.on_batch = [w](const BasketBatch& b, const std::vector<BatPtr>& cols) {
-    const Status s = w->Append(storage::EncodeBatch(
-        b.ordinal, b.begin_seq, b.end_seq - b.begin_seq, cols));
+    const Status s = w->AppendBatch(
+        b.begin_seq, b.end_seq,
+        storage::EncodeBatch(b.ordinal, b.begin_seq, b.end_seq - b.begin_seq,
+                             cols));
     if (!s.ok()) {
       DC_LOG(kWarn) << "WAL append failed: " << s.ToString();
     }
@@ -1171,7 +1303,12 @@ Status Engine::Checkpoint() {
   storage::SnapshotData data;
   data.checkpoint_id = next_checkpoint_id_++;
   std::map<std::string, uint64_t> horizons;
-  std::vector<storage::WalWriter*> wals;
+  struct BasketLog {
+    std::string name;
+    std::shared_ptr<Basket> basket;
+    storage::WalWriter* wal;
+  };
+  std::vector<BasketLog> logs;
   {
     MutexLock share(share_mu_);
     for (const auto& [key, nodes] : prefix_nodes_) {
@@ -1189,36 +1326,52 @@ Status Engine::Checkpoint() {
       if (q.dur_token == 0) continue;
       data.queries.push_back({q.dur_token, q.factory->SnapshotProgress()});
     }
-    for (const auto& [name, w] : basket_wals_) wals.push_back(w.get());
+    for (const auto& [name, w] : basket_wals_) {
+      if (auto it = baskets_.find(name); it != baskets_.end()) {
+        logs.push_back({name, it->second, w.get()});
+      }
+    }
   }
 
-  // 2. Persist the WALs at least through the cut.
-  DC_RETURN_NOT_OK(catalog_wal_->Sync());
-  for (storage::WalWriter* w : wals) DC_RETURN_NOT_OK(w->Sync());
+  // 2. Rotate every basket WAL that holds records past its head. The
+  // next segment is created and fsynced (with its directory entry)
+  // before any basket or WAL lock is taken; the switch runs under the
+  // basket lock, so the new head records exactly the basket state after
+  // the old segment's last record.
+  for (const BasketLog& l : logs) {
+    DC_ASSIGN_OR_RETURN(std::unique_ptr<storage::WalFile> next,
+                        l.wal->PrepareNextSegment());
+    if (next == nullptr) continue;
+    Status switched;
+    l.basket->WithLogPosition([&](const Basket::LogPosition& p) {
+      switched = l.wal->SwitchSegment(
+          std::move(next),
+          storage::WalReset{p.high_seq, p.next_ordinal, p.watermark, p.sealed});
+    });
+    DC_RETURN_NOT_OK(switched);
+  }
 
-  // 3. Deliver everything produced before the cut, so a recovered engine
+  // 3. Persist the WALs at least through the cut — the old segments'
+  // tails, then the new heads.
+  DC_RETURN_NOT_OK(catalog_wal_->Sync());
+  for (const BasketLog& l : logs) DC_RETURN_NOT_OK(l.wal->Sync());
+
+  // 4. Deliver everything produced before the cut, so a recovered engine
   // re-emits only at-or-after it (the harness dedups by position).
   for (const auto& e : SnapshotEmitters()) e->Drain();
 
-  // 4. Snapshot (tmp + fsync + rotate current->prev + rename).
+  // 5. Snapshot (tmp + fsync + rotate current->prev + rename).
   DC_RETURN_NOT_OK(storage::WriteSnapshot(wal_env_, options_.durability.dir,
                                           data, snapshot_bytes_.get()));
   snapshot_writes_->Add(1);
 
-  // 5. Truncate each basket WAL only to the PREVIOUS checkpoint's
+  // 6. Unlink the segments wholly below the PREVIOUS checkpoint's
   // horizon: if this snapshot is torn by a later crash, snapshot.prev.dc
   // still pairs with a WAL tail that covers it.
-  std::vector<std::pair<storage::WalWriter*, uint64_t>> cuts;
-  {
-    MutexLock lock(mu_);
-    for (const auto& [name, w] : basket_wals_) {
-      if (auto it = last_horizons_.find(name); it != last_horizons_.end()) {
-        cuts.emplace_back(w.get(), it->second);
-      }
+  for (const BasketLog& l : logs) {
+    if (auto it = last_horizons_.find(l.name); it != last_horizons_.end()) {
+      DC_RETURN_NOT_OK(l.wal->DropSegmentsBelow(it->second));
     }
-  }
-  for (const auto& [w, horizon] : cuts) {
-    DC_RETURN_NOT_OK(w->TruncateTo(horizon));
   }
   last_horizons_ = std::move(horizons);
   return Status::OK();

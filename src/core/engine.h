@@ -22,6 +22,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,12 +78,13 @@ struct EngineOptions {
   bool enable_sharing = true;
 
   /// Durability (docs/DURABILITY.md): with a non-empty `dir`, every
-  /// stream basket appends its batch log to `<dir>/<stream>.wal`, DDL and
-  /// continuous-query submissions go to `<dir>/catalog.wal`, and
-  /// Checkpoint() writes consistent factory-progress snapshots. A fresh
-  /// Engine pointed at a populated `dir` recovers: last snapshot + WAL
-  /// tail replayed through the normal append path. Empty `dir` (the
-  /// default) keeps the engine fully transient.
+  /// stream basket appends its batch log to segments
+  /// `<dir>/<stream>.<n>.wal`, DDL and continuous-query submissions go
+  /// to `<dir>/catalog.wal`, and Checkpoint() writes consistent
+  /// factory-progress snapshots. A fresh Engine pointed at a populated
+  /// `dir` recovers: last snapshot + WAL tail replayed through the normal
+  /// append path. Empty `dir` (the default) keeps the engine fully
+  /// transient.
   struct DurabilityOptions {
     std::string dir;
     /// When basket-WAL appends become durable. The catalog log is always
@@ -196,11 +198,12 @@ class Engine {
 
   // --- Durability (docs/DURABILITY.md) ----------------------------------------
 
-  /// Writes a consistent snapshot of factory progress and truncates each
-  /// basket WAL to the *previous* checkpoint's horizon (so the rotated
-  /// snapshot.prev.dc always pairs with a sufficient WAL tail). Serialized
-  /// on dur_mu_; safe to call concurrently with ingest and fires.
-  /// InvalidArgument when durability is off.
+  /// Writes a consistent snapshot of factory progress, rotates each
+  /// basket WAL to a fresh segment, and unlinks the segments wholly below
+  /// the *previous* checkpoint's horizon (so the rotated snapshot.prev.dc
+  /// always pairs with a sufficient WAL tail). Serialized on dur_mu_;
+  /// safe to call concurrently with ingest and fires. InvalidArgument
+  /// when durability is off.
   Status Checkpoint();
 
   /// What the constructor's recovery pass concluded. OK after a cold
@@ -317,10 +320,17 @@ class Engine {
   /// normal append path), then attaches WAL writers/hooks to every
   /// stream basket and opens the catalog log.
   Status InitDurability();
-  /// Opens `<dir>/<name>.wal` (writing a head kReset on a fresh log) and
-  /// installs the basket's durability hooks.
+  /// Opens the basket's segmented WAL — continuing the segments recovery
+  /// replayed, or a fresh segment 0 headed by the basket's state — after
+  /// deleting every segment past the replayed prefix, and installs the
+  /// basket's durability hooks.
   Status AttachStreamWal(const std::string& name,
                          const std::shared_ptr<Basket>& basket);
+  /// `name`'s log segments on disk. A single-file `<name>.wal` from
+  /// before segmented logs is renamed into place as segment 0; refused
+  /// when numbered segments exist beside it.
+  Result<storage::WalSegmentListing> ListStreamSegments(
+      const std::string& name);
   /// Background checkpoint thread body (checkpoint_interval_ms > 0).
   void CheckpointLoop();
   /// Drops zero-subscriber shared nodes from the registry (their basket
@@ -363,6 +373,16 @@ class Engine {
   /// label -> origin_seq of shared nodes from the loaded snapshot;
   /// consulted (then discarded) when recovery replay re-founds a node.
   std::map<std::string, uint64_t> restore_node_origins_;
+  /// What recovery replayed of one basket's log, for its writer at
+  /// go-live.
+  struct RecoveredLog {
+    std::vector<uint64_t> numbers;              // segments on disk
+    std::vector<storage::WalSegment> replayed;  // numbers' valid prefix
+    /// The last replayed segment ends in a torn record at this length.
+    std::optional<uint64_t> torn_at;
+  };
+  /// Filled by recovery, consumed (then discarded) by AttachStreamWal.
+  std::map<std::string, RecoveredLog> recovered_logs_;
 
   /// Serializes checkpoints. Ranks below kEmitterDrain (and everything
   /// else a checkpoint touches): Checkpoint() drains emitters and walks

@@ -2,11 +2,16 @@
 
 #include "storage/wal.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -16,11 +21,19 @@
 namespace dc {
 namespace storage {
 
+// The codec writes fixed-width values with memcpy: the on-disk format is
+// little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "the WAL codec assumes a little-endian host");
+
 namespace {
 
 /// Records larger than this are treated as corruption (a torn length
 /// field must not trigger a gigabyte allocation).
 constexpr uint32_t kMaxRecordBytes = 1u << 30;
+
+/// Bytes of the [u32 len][u32 crc] frame header.
+constexpr size_t kFrameHeaderBytes = 8;
 
 /// Parent directory of `path` ("." when there is no separator), for the
 /// directory fsyncs that make renames and file creations durable.
@@ -30,26 +43,48 @@ std::string DirName(const std::string& path) {
   return slash == 0 ? "/" : path.substr(0, slash);
 }
 
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+/// Slicing-by-8 tables: t[0] is the classic bytewise table, t[k][i] the
+/// CRC of byte i followed by k zero bytes.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+uint32_t LoadU32(const void* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = Crc32Table();
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = LoadU32(p) ^ c;
+    const uint32_t hi = LoadU32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -78,6 +113,32 @@ class PosixWalFile : public WalFile {
       }
       p += n;
       left -= static_cast<size_t>(n);
+    }
+    return Status::OK();
+  }
+
+  Status AppendFramed(std::string_view header,
+                      std::string_view payload) override {
+    iovec iov[2] = {{const_cast<char*>(header.data()), header.size()},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+    int first = 0;
+    while (first < 2) {
+      const ssize_t n = ::writev(fd_, iov + first, 2 - first);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Status::Internal(
+            StrFormat("wal write failed: %s", std::strerror(errno)));
+      }
+      // Advance past what was written, possibly mid-iovec.
+      size_t done = static_cast<size_t>(n);
+      while (first < 2 && done >= iov[first].iov_len) {
+        done -= iov[first].iov_len;
+        ++first;
+      }
+      if (first < 2) {
+        iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + done;
+        iov[first].iov_len -= done;
+      }
     }
     return Status::OK();
   }
@@ -193,19 +254,11 @@ WalEnv* WalEnv::Default() {
 // Encoder / decoder.
 // --------------------------------------------------------------------------
 
-void WalEncoder::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
+void WalEncoder::PutU32(uint32_t v) { PutBytes(&v, sizeof(v)); }
 
-void WalEncoder::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
+void WalEncoder::PutU64(uint64_t v) { PutBytes(&v, sizeof(v)); }
 
-void WalEncoder::PutF64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
+void WalEncoder::PutF64(double v) { PutBytes(&v, sizeof(v)); }
 
 void WalEncoder::PutStr(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
@@ -225,15 +278,15 @@ uint8_t WalDecoder::GetU8() {
 }
 
 uint32_t WalDecoder::GetU32() {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(GetU8()) << (8 * i);
-  return ok_ ? v : 0;
+  const std::string_view b = GetBytes(sizeof(uint32_t));
+  return ok_ ? LoadU32(b.data()) : 0;
 }
 
 uint64_t WalDecoder::GetU64() {
+  const std::string_view b = GetBytes(sizeof(uint64_t));
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(GetU8()) << (8 * i);
-  return ok_ ? v : 0;
+  if (ok_) std::memcpy(&v, b.data(), sizeof(v));
+  return v;
 }
 
 double WalDecoder::GetF64() {
@@ -249,7 +302,7 @@ std::string WalDecoder::GetStr() {
 }
 
 std::string_view WalDecoder::GetBytes(size_t n) {
-  if (!ok_ || pos_ + n > data_.size()) {
+  if (!ok_ || n > data_.size() - pos_) {
     ok_ = false;
     return {};
   }
@@ -262,6 +315,38 @@ std::string_view WalDecoder::GetBytes(size_t n) {
 // Column codec.
 // --------------------------------------------------------------------------
 
+namespace {
+
+/// Encoded size of one column (EncodeBat's output), so a batch record is
+/// built in one exactly-sized buffer.
+size_t EncodedBatBytes(const Bat& b) {
+  const uint64_t n = b.size();
+  size_t bytes = 1 + 8 + 1 + (b.has_nulls() ? n : 0);
+  switch (b.type()) {
+    case TypeId::kBool:
+      return bytes + n;
+    case TypeId::kI64:
+    case TypeId::kTs:
+    case TypeId::kF64:
+      return bytes + 8 * n;
+    case TypeId::kStr:
+      for (uint64_t i = 0; i < n; ++i) bytes += 4 + b.StrAt(i).size();
+      return bytes;
+  }
+  return bytes;
+}
+
+/// Bulk-decodes `n` fixed-width values (no NULLs) into a fresh column.
+template <typename T>
+std::vector<T> GetArray(WalDecoder& dec, uint64_t n) {
+  const std::string_view raw = dec.GetBytes(n * sizeof(T));
+  std::vector<T> v(dec.ok() ? n : 0);
+  if (!v.empty()) std::memcpy(v.data(), raw.data(), raw.size());
+  return v;
+}
+
+}  // namespace
+
 void EncodeBat(WalEncoder& enc, const Bat& b) {
   const uint64_t n = b.size();
   enc.PutU8(static_cast<uint8_t>(b.type()));
@@ -271,16 +356,18 @@ void EncodeBat(WalEncoder& enc, const Bat& b) {
   if (nulls) {
     for (uint64_t i = 0; i < n; ++i) enc.PutU8(b.IsNull(i) ? 1 : 0);
   }
+  // NULL rows hold the type's zero in the typed payload, so the bulk
+  // copies write exactly what a per-row encoding would.
   switch (b.type()) {
     case TypeId::kBool:
       enc.PutBytes(b.BoolData().data(), n);
       break;
     case TypeId::kI64:
     case TypeId::kTs:
-      for (int64_t v : b.I64Data()) enc.PutI64(v);
+      enc.PutBytes(b.I64Data().data(), n * sizeof(int64_t));
       break;
     case TypeId::kF64:
-      for (double v : b.F64Data()) enc.PutF64(v);
+      enc.PutBytes(b.F64Data().data(), n * sizeof(double));
       break;
     case TypeId::kStr:
       for (uint64_t i = 0; i < n; ++i) enc.PutStr(b.StrAt(i));
@@ -299,13 +386,38 @@ Result<BatPtr> DecodeBat(WalDecoder& dec) {
     return Status::ParseError("wal: implausible column length");
   }
   const TypeId type = static_cast<TypeId>(type_raw);
+  if (!nulls && type != TypeId::kStr) {
+    BatPtr out;
+    switch (type) {
+      case TypeId::kBool: {
+        std::vector<uint8_t> v = GetArray<uint8_t>(dec, n);
+        for (uint8_t& x : v) x = x != 0;
+        out = Bat::MakeBool(std::move(v));
+        break;
+      }
+      case TypeId::kI64:
+        out = Bat::MakeI64(GetArray<int64_t>(dec, n));
+        break;
+      case TypeId::kTs:
+        out = Bat::MakeTs(GetArray<int64_t>(dec, n));
+        break;
+      case TypeId::kF64:
+        out = Bat::MakeF64(GetArray<double>(dec, n));
+        break;
+      case TypeId::kStr:
+        break;
+    }
+    if (!dec.ok()) return Status::ParseError("wal: truncated column payload");
+    return out;
+  }
   std::vector<uint8_t> null_flags;
   if (nulls) {
-    null_flags.resize(n);
-    for (uint64_t i = 0; i < n; ++i) null_flags[i] = dec.GetU8();
+    const std::string_view raw = dec.GetBytes(n);
+    if (!dec.ok()) return Status::ParseError("wal: truncated column payload");
+    null_flags.assign(raw.begin(), raw.end());
   }
   BatPtr out = Bat::MakeEmpty(type);
-  for (uint64_t i = 0; i < n; ++i) {
+  for (uint64_t i = 0; i < n && dec.ok(); ++i) {
     if (nulls && null_flags[i]) {
       // Consume the zero payload the encoder wrote, then append NULL.
       switch (type) {
@@ -347,17 +459,15 @@ Result<BatPtr> DecodeBat(WalDecoder& dec) {
 }
 
 // --------------------------------------------------------------------------
-// Record codecs.
+// Record codecs. Every payload starts with its WalRecordType byte.
 // --------------------------------------------------------------------------
 
 namespace {
 
-std::string WithType(WalRecordType t, WalEncoder enc) {
-  WalEncoder out;
-  out.PutU8(static_cast<uint8_t>(t));
-  const std::string body = enc.Take();
-  out.PutBytes(body.data(), body.size());
-  return out.Take();
+WalEncoder Typed(WalRecordType t) {
+  WalEncoder enc;
+  enc.PutU8(static_cast<uint8_t>(t));
+  return enc;
 }
 
 Result<WalDecoder> BodyDecoder(const WalRecord& rec, WalRecordType want) {
@@ -368,43 +478,45 @@ Result<WalDecoder> BodyDecoder(const WalRecord& rec, WalRecordType want) {
 }  // namespace
 
 std::string EncodeReset(const WalReset& r) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kReset);
   enc.PutU64(r.start_seq);
   enc.PutU64(r.next_ordinal);
   enc.PutI64(r.watermark);
   enc.PutU8(r.sealed ? 1 : 0);
-  return WithType(WalRecordType::kReset, std::move(enc));
+  return enc.Take();
 }
 
 std::string EncodeBatch(uint64_t ordinal, uint64_t begin_seq, uint64_t rows,
                         const std::vector<BatPtr>& cols) {
+  size_t bytes = 1 + 8 + 8 + 8 + 4;
+  for (const BatPtr& c : cols) bytes += EncodedBatBytes(*c);
   WalEncoder enc;
+  enc.Reserve(bytes);
+  enc.PutU8(static_cast<uint8_t>(WalRecordType::kBatch));
   enc.PutU64(ordinal);
   enc.PutU64(begin_seq);
   enc.PutU64(rows);
   enc.PutU32(static_cast<uint32_t>(cols.size()));
   for (const BatPtr& c : cols) EncodeBat(enc, *c);
-  return WithType(WalRecordType::kBatch, std::move(enc));
+  return enc.Take();
 }
 
 std::string EncodeHeartbeat(int64_t ts) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kHeartbeat);
   enc.PutI64(ts);
-  return WithType(WalRecordType::kHeartbeat, std::move(enc));
+  return enc.Take();
 }
 
-std::string EncodeSeal() {
-  return WithType(WalRecordType::kSeal, WalEncoder());
-}
+std::string EncodeSeal() { return Typed(WalRecordType::kSeal).Take(); }
 
 std::string EncodeStatement(std::string_view sql) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kStatement);
   enc.PutStr(sql);
-  return WithType(WalRecordType::kStatement, std::move(enc));
+  return enc.Take();
 }
 
 std::string EncodeSubmit(const WalSubmit& s) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kSubmit);
   enc.PutU64(s.token);
   enc.PutStr(s.sql);
   enc.PutU8(s.mode);
@@ -414,13 +526,13 @@ std::string EncodeSubmit(const WalSubmit& s) {
   enc.PutU64(s.batch_cursor);
   enc.PutStr(s.node_label);
   enc.PutU64(s.node_origin);
-  return WithType(WalRecordType::kSubmit, std::move(enc));
+  return enc.Take();
 }
 
 std::string EncodeRemove(uint64_t token) {
-  WalEncoder enc;
+  WalEncoder enc = Typed(WalRecordType::kRemove);
   enc.PutU64(token);
-  return WithType(WalRecordType::kRemove, std::move(enc));
+  return enc.Take();
 }
 
 Result<WalReset> DecodeReset(const WalRecord& rec) {
@@ -503,24 +615,95 @@ Result<uint64_t> DecodeRemove(const WalRecord& rec) {
 // File scan.
 // --------------------------------------------------------------------------
 
+namespace {
+
+/// Reads up to `n` bytes at `offset` of `in` into `out` (fewer at the
+/// end of the file).
+void ReadAt(std::ifstream& in, uint64_t offset, size_t n, std::string* out) {
+  out->resize(n);
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(out->data(), static_cast<std::streamsize>(n));
+  out->resize(static_cast<size_t>(in.gcount()));
+}
+
+Status NotFound(const std::string& path) {
+  return Status::NotFound(StrFormat("wal file %s not found", path.c_str()));
+}
+
+/// The [u32 len][u32 crc] prefix of a framed record.
+class FrameHeader {
+ public:
+  explicit FrameHeader(std::string_view payload)
+      : words_{static_cast<uint32_t>(payload.size()),
+               Crc32(payload.data(), payload.size())} {}
+  std::string_view bytes() const {
+    return {reinterpret_cast<const char*>(words_), sizeof(words_)};
+  }
+
+ private:
+  uint32_t words_[2];
+};
+
+/// Parses the record framed at `pos` of `data`; nullopt when the frame
+/// is short, implausible, or fails its checksum.
+std::optional<std::string_view> FramedPayload(std::string_view data,
+                                              size_t pos) {
+  if (data.size() - pos < kFrameHeaderBytes) return std::nullopt;
+  const uint32_t len = LoadU32(data.data() + pos);
+  const uint32_t crc = LoadU32(data.data() + pos + 4);
+  if (len == 0 || len > kMaxRecordBytes ||
+      len > data.size() - pos - kFrameHeaderBytes) {
+    return std::nullopt;
+  }
+  const std::string_view payload = data.substr(pos + kFrameHeaderBytes, len);
+  if (Crc32(payload.data(), payload.size()) != crc) return std::nullopt;
+  return payload;
+}
+
+WalRecord ToRecord(std::string_view payload) {
+  WalRecord rec;
+  rec.type = static_cast<WalRecordType>(static_cast<uint8_t>(payload[0]));
+  rec.body = std::string(payload.substr(1));
+  return rec;
+}
+
+bool HasMagic(std::string_view data) {
+  return data.size() >= sizeof(kWalMagic) &&
+         std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) == 0;
+}
+
+}  // namespace
+
 std::string FrameRecord(std::string_view payload) {
-  WalEncoder enc;
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  enc.PutU32(Crc32(payload.data(), payload.size()));
-  enc.PutBytes(payload.data(), payload.size());
-  return enc.Take();
+  std::string out;
+  out.reserve(kFrameHeaderBytes + payload.size());
+  out.append(FrameHeader(payload).bytes());
+  out.append(payload);
+  return out;
+}
+
+Status WalFile::AppendFramed(std::string_view header,
+                             std::string_view payload) {
+  std::string framed;
+  framed.reserve(header.size() + payload.size());
+  framed.append(header);
+  framed.append(payload);
+  return Append(framed);
 }
 
 Result<WalScan> ReadWalFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::NotFound(StrFormat("wal file %s not found", path.c_str()));
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) return NotFound(path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) {
+    return Status::Internal(
+        StrFormat("wal file %s: size unknown", path.c_str()));
   }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::string data;
+  ReadAt(in, 0, static_cast<size_t>(size), &data);
   WalScan scan;
-  if (data.size() < sizeof(kWalMagic) ||
-      std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
+  if (!HasMagic(data)) {
     scan.valid_bytes = 0;
     scan.clean_tail = data.empty();
     return scan;
@@ -528,22 +711,80 @@ Result<WalScan> ReadWalFile(const std::string& path) {
   size_t pos = sizeof(kWalMagic);
   scan.valid_bytes = pos;
   while (pos < data.size()) {
-    if (pos + 8 > data.size()) break;
-    WalDecoder hdr(std::string_view(data).substr(pos, 8));
-    const uint32_t len = hdr.GetU32();
-    const uint32_t crc = hdr.GetU32();
-    if (len == 0 || len > kMaxRecordBytes || pos + 8 + len > data.size()) break;
-    const std::string_view payload = std::string_view(data).substr(pos + 8, len);
-    if (Crc32(payload.data(), payload.size()) != crc) break;
-    WalRecord rec;
-    rec.type = static_cast<WalRecordType>(static_cast<uint8_t>(payload[0]));
-    rec.body = std::string(payload.substr(1));
-    scan.records.push_back(std::move(rec));
-    pos += 8 + len;
+    const std::optional<std::string_view> payload = FramedPayload(data, pos);
+    if (!payload) break;
+    scan.records.push_back(ToRecord(*payload));
+    pos += kFrameHeaderBytes + payload->size();
     scan.valid_bytes = pos;
   }
   scan.clean_tail = scan.valid_bytes == data.size();
   return scan;
+}
+
+Result<std::optional<WalRecord>> ReadWalHead(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return NotFound(path);
+  std::string data;
+  ReadAt(in, 0, sizeof(kWalMagic) + kFrameHeaderBytes, &data);
+  if (!HasMagic(data) ||
+      data.size() < sizeof(kWalMagic) + kFrameHeaderBytes) {
+    return std::optional<WalRecord>();
+  }
+  const uint32_t len = LoadU32(data.data() + sizeof(kWalMagic));
+  if (len == 0 || len > kMaxRecordBytes) return std::optional<WalRecord>();
+  std::string rest;
+  ReadAt(in, data.size(), len, &rest);
+  data += rest;
+  const std::optional<std::string_view> payload =
+      FramedPayload(data, sizeof(kWalMagic));
+  if (!payload) return std::optional<WalRecord>();
+  return std::optional<WalRecord>(ToRecord(*payload));
+}
+
+// --------------------------------------------------------------------------
+// Basket-log segments.
+// --------------------------------------------------------------------------
+
+std::string WalSegmentPath(const std::string& dir, const std::string& stream,
+                           uint64_t number) {
+  return StrFormat("%s/%s.%llu.wal", dir.c_str(), stream.c_str(),
+                   static_cast<unsigned long long>(number));
+}
+
+Result<WalSegmentListing> ListWalSegments(const std::string& dir,
+                                          const std::string& stream) {
+  WalSegmentListing out;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) {
+    if (errno == ENOENT) return out;
+    return Status::Internal(
+        StrFormat("opendir %s failed: %s", dir.c_str(), std::strerror(errno)));
+  }
+  const std::string prefix = stream + ".";
+  constexpr std::string_view kSuffix = ".wal";
+  while (const dirent* ent = ::readdir(d)) {
+    const std::string_view name(ent->d_name);
+    if (name == stream + ".wal") {
+      out.legacy = true;
+      continue;
+    }
+    if (name.size() <= prefix.size() + kSuffix.size() ||
+        name.substr(0, prefix.size()) != prefix ||
+        name.substr(name.size() - kSuffix.size()) != kSuffix) {
+      continue;
+    }
+    const std::string_view digits = name.substr(
+        prefix.size(), name.size() - prefix.size() - kSuffix.size());
+    if (digits.size() > 19 ||
+        !std::all_of(digits.begin(), digits.end(),
+                     [](char c) { return c >= '0' && c <= '9'; })) {
+      continue;
+    }
+    out.numbers.push_back(std::stoull(std::string(digits)));
+  }
+  ::closedir(d);
+  std::sort(out.numbers.begin(), out.numbers.end());
+  return out;
 }
 
 // --------------------------------------------------------------------------
@@ -571,8 +812,9 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalEnv* env,
       fresh = true;
     }
   }
-  std::unique_ptr<WalWriter> w(new WalWriter(
-      env, std::move(path), policy, fsync_interval, std::move(counters)));
+  std::unique_ptr<WalWriter> w(new WalWriter(env, "", "", std::move(path),
+                                             policy, fsync_interval,
+                                             std::move(counters)));
   DC_ASSIGN_OR_RETURN(std::unique_ptr<WalFile> file,
                       env->Open(w->path_, /*truncate=*/fresh));
   {
@@ -591,13 +833,62 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalEnv* env,
   return w;
 }
 
-Status WalWriter::Append(std::string_view payload) {
-  const std::string framed = FrameRecord(payload);
-  MutexLock lock(mu_);
+Result<std::unique_ptr<WalWriter>> WalWriter::CreateSegmented(
+    WalEnv* env, std::string dir, std::string stream, uint64_t number,
+    const WalReset& head, FsyncPolicy policy, int fsync_interval,
+    WalCounters counters) {
+  const std::string path = WalSegmentPath(dir, stream, number);
+  std::unique_ptr<WalWriter> w(new WalWriter(env, std::move(dir),
+                                             std::move(stream), "", policy,
+                                             fsync_interval,
+                                             std::move(counters)));
+  DC_ASSIGN_OR_RETURN(std::unique_ptr<WalFile> file,
+                      env->Open(path, /*truncate=*/true));
+  {
+    MutexLock lock(w->mu_);
+    w->file_ = std::move(file);
+    w->segments_.push_back(WalSegment{number, head.start_seq, false, false});
+    DC_RETURN_NOT_OK(
+        w->file_->Append(std::string_view(kWalMagic, sizeof(kWalMagic))));
+    const std::string payload = EncodeReset(head);
+    DC_RETURN_NOT_OK(
+        w->AppendLocked(FrameHeader(payload).bytes(), payload,
+                        /*durable=*/false));
+    DC_RETURN_NOT_OK(w->SyncLocked());
+  }
+  DC_RETURN_NOT_OK(env->SyncDir(w->dir_));
+  return w;
+}
+
+Result<std::unique_ptr<WalWriter>> WalWriter::ResumeSegmented(
+    WalEnv* env, std::string dir, std::string stream,
+    std::vector<WalSegment> segments, FsyncPolicy policy, int fsync_interval,
+    WalCounters counters) {
+  if (segments.empty()) {
+    return Status::InvalidArgument("ResumeSegmented needs a segment");
+  }
+  std::unique_ptr<WalWriter> w(new WalWriter(env, std::move(dir),
+                                             std::move(stream), "", policy,
+                                             fsync_interval,
+                                             std::move(counters)));
+  DC_ASSIGN_OR_RETURN(
+      std::unique_ptr<WalFile> file,
+      env->Open(WalSegmentPath(w->dir_, w->stream_, segments.back().number),
+                /*truncate=*/false));
+  MutexLock lock(w->mu_);
+  w->file_ = std::move(file);
+  w->segments_ = std::move(segments);
+  return w;
+}
+
+Status WalWriter::AppendLocked(std::string_view header,
+                               std::string_view payload, bool durable) {
   if (file_ == nullptr) return Status::Internal("wal writer closed");
-  DC_RETURN_NOT_OK(file_->Append(framed));
+  DC_RETURN_NOT_OK(file_->AppendFramed(header, payload));
+  ++unsynced_;
   if (counters_.records) counters_.records->Add(1);
-  if (counters_.bytes) counters_.bytes->Add(framed.size());
+  if (counters_.bytes) counters_.bytes->Add(header.size() + payload.size());
+  if (!durable) return Status::OK();
   switch (policy_) {
     case FsyncPolicy::kNever:
       break;
@@ -605,10 +896,30 @@ Status WalWriter::Append(std::string_view payload) {
       DC_RETURN_NOT_OK(SyncLocked());
       break;
     case FsyncPolicy::kInterval:
-      if (++unsynced_ >= fsync_interval_) DC_RETURN_NOT_OK(SyncLocked());
+      if (unsynced_ >= fsync_interval_) DC_RETURN_NOT_OK(SyncLocked());
       break;
   }
   return Status::OK();
+}
+
+Status WalWriter::Append(std::string_view payload) {
+  const FrameHeader header(payload);
+  MutexLock lock(mu_);
+  if (!segments_.empty()) segments_.back().past_head = true;
+  return AppendLocked(header.bytes(), payload, /*durable=*/true);
+}
+
+Status WalWriter::AppendBatch(uint64_t begin_seq, uint64_t end_seq,
+                              std::string_view payload) {
+  const FrameHeader header(payload);
+  MutexLock lock(mu_);
+  if (!segments_.empty()) {
+    WalSegment& seg = segments_.back();
+    seg.past_head = true;
+    seg.end_seq = end_seq;
+    seg.empty_batch_at_end = begin_seq == end_seq;
+  }
+  return AppendLocked(header.bytes(), payload, /*durable=*/true);
 }
 
 Status WalWriter::Sync() {
@@ -618,81 +929,86 @@ Status WalWriter::Sync() {
 }
 
 Status WalWriter::SyncLocked() {
+  if (retired_ != nullptr) {
+    // The previous segment first: the log must never hold durable
+    // records in a segment after one whose tail is still volatile.
+    DC_RETURN_NOT_OK(retired_->Sync());
+    DC_RETURN_NOT_OK(retired_->Close());
+    retired_ = nullptr;
+    if (counters_.syncs) counters_.syncs->Add(1);
+  }
   DC_RETURN_NOT_OK(file_->Sync());
   unsynced_ = 0;
   if (counters_.syncs) counters_.syncs->Add(1);
   return Status::OK();
 }
 
-Status WalWriter::TruncateTo(uint64_t horizon) {
+Result<std::unique_ptr<WalFile>> WalWriter::PrepareNextSegment() {
+  uint64_t number = 0;
+  {
+    MutexLock lock(mu_);
+    if (segments_.empty()) {
+      return Status::Internal("rotation of a single-file log");
+    }
+    if (!segments_.back().past_head) return std::unique_ptr<WalFile>();
+    number = segments_.back().number + 1;
+  }
+  // Callers serialize rotations (the engine rotates only inside
+  // Checkpoint), so the number cannot change while no lock is held here.
+  DC_ASSIGN_OR_RETURN(
+      std::unique_ptr<WalFile> next,
+      env_->Open(WalSegmentPath(dir_, stream_, number), /*truncate=*/true));
+  DC_RETURN_NOT_OK(
+      next->Append(std::string_view(kWalMagic, sizeof(kWalMagic))));
+  DC_RETURN_NOT_OK(next->Sync());
+  DC_RETURN_NOT_OK(env_->SyncDir(dir_));
+  return next;
+}
+
+Status WalWriter::SwitchSegment(std::unique_ptr<WalFile> next,
+                                const WalReset& head) {
+  const std::string payload = EncodeReset(head);
+  const FrameHeader header(payload);
   MutexLock lock(mu_);
   if (file_ == nullptr) return Status::Internal("wal writer closed");
-  // Flush so the rewrite below sees every record appended so far.
-  DC_RETURN_NOT_OK(SyncLocked());
-  DC_ASSIGN_OR_RETURN(WalScan scan, ReadWalFile(path_));
-
-  // Fold the dropped prefix into a fresh reset record. Heartbeat
-  // watermarks fold exactly; dropped batch timestamps need no folding
-  // because the basket clamps appends to be globally non-decreasing, so
-  // any surviving row revives at least the dropped rows' watermark (see
-  // docs/DURABILITY.md, "Truncation").
-  WalReset reset;
-  size_t keep_from = scan.records.size();
-  for (size_t i = 0; i < scan.records.size(); ++i) {
-    const WalRecord& rec = scan.records[i];
-    if (rec.type == WalRecordType::kReset) {
-      DC_ASSIGN_OR_RETURN(reset, DecodeReset(rec));
-      continue;
-    }
-    if (rec.type == WalRecordType::kHeartbeat) {
-      DC_ASSIGN_OR_RETURN(const int64_t ts, DecodeHeartbeat(rec));
-      if (ts > reset.watermark) reset.watermark = ts;
-      continue;
-    }
-    if (rec.type == WalRecordType::kSeal) {
-      reset.sealed = true;
-      continue;
-    }
-    if (rec.type == WalRecordType::kBatch) {
-      DC_ASSIGN_OR_RETURN(WalBatch b, DecodeBatch(rec));
-      const uint64_t end_seq = b.begin_seq + b.rows;
-      const bool droppable =
-          b.rows > 0 ? end_seq <= horizon : b.begin_seq < horizon;
-      if (!droppable) {
-        keep_from = i;
-        break;
-      }
-      reset.start_seq = end_seq;
-      reset.next_ordinal = b.ordinal + 1;
-      continue;
-    }
-    // Unknown record type in a basket log: keep it and everything after.
-    keep_from = i;
-    break;
+  if (retired_ != nullptr) {
+    return Status::Internal("wal rotation before the last one was synced");
   }
-
-  const std::string tmp = path_ + ".tmp";
-  DC_ASSIGN_OR_RETURN(std::unique_ptr<WalFile> out,
-                      env_->Open(tmp, /*truncate=*/true));
-  DC_RETURN_NOT_OK(out->Append(std::string_view(kWalMagic, sizeof(kWalMagic))));
-  DC_RETURN_NOT_OK(out->Append(FrameRecord(EncodeReset(reset))));
-  for (size_t i = keep_from; i < scan.records.size(); ++i) {
-    const WalRecord& rec = scan.records[i];
-    std::string payload;
-    payload.push_back(static_cast<char>(rec.type));
-    payload.append(rec.body);
-    DC_RETURN_NOT_OK(out->Append(FrameRecord(payload)));
+  const WalSegment last = segments_.back();
+  if (head.start_seq != last.end_seq) {
+    return Status::Internal(StrFormat(
+        "wal rotation of %s: head starts at %llu, segment ends at %llu",
+        stream_.c_str(), static_cast<unsigned long long>(head.start_seq),
+        static_cast<unsigned long long>(last.end_seq)));
   }
-  DC_RETURN_NOT_OK(out->Sync());
-  DC_RETURN_NOT_OK(out->Close());
-  DC_RETURN_NOT_OK(file_->Close());
-  file_ = nullptr;
-  DC_RETURN_NOT_OK(env_->Rename(tmp, path_));
-  // Make the rename durable before appending to the rewritten file.
-  DC_RETURN_NOT_OK(env_->SyncDir(DirName(path_)));
-  DC_ASSIGN_OR_RETURN(file_, env_->Open(path_, /*truncate=*/false));
-  unsynced_ = 0;
-  if (counters_.truncations) counters_.truncations->Add(1);
+  if (unsynced_ > 0) {
+    retired_ = std::move(file_);
+  } else {
+    DC_RETURN_NOT_OK(file_->Close());
+  }
+  file_ = std::move(next);
+  segments_.push_back(WalSegment{last.number + 1, head.start_seq, false,
+                                 false});
+  return AppendLocked(header.bytes(), payload, /*durable=*/false);
+}
+
+Status WalWriter::DropSegmentsBelow(uint64_t horizon) {
+  std::vector<uint64_t> drop;
+  {
+    MutexLock lock(mu_);
+    // Never the current segment, nor one whose tail is not yet synced.
+    const size_t keep = retired_ != nullptr ? 2 : 1;
+    size_t n = 0;
+    while (n + keep < segments_.size() && segments_[n].Below(horizon)) ++n;
+    for (size_t i = 0; i < n; ++i) drop.push_back(segments_[i].number);
+    segments_.erase(segments_.begin(), segments_.begin() + n);
+  }
+  if (drop.empty()) return Status::OK();
+  for (uint64_t number : drop) {
+    DC_RETURN_NOT_OK(env_->RemoveFile(WalSegmentPath(dir_, stream_, number)));
+  }
+  DC_RETURN_NOT_OK(env_->SyncDir(dir_));
+  if (counters_.truncations) counters_.truncations->Add(drop.size());
   return Status::OK();
 }
 

@@ -16,7 +16,7 @@
 // compare against the uninterrupted oracle. Pre-trip op sequences are
 // identical across runs (the engine is deterministic in sync mode), so k
 // indexes a well-defined crash point: before an append, between an append
-// and its fsync, mid-snapshot-rename, after-snapshot-before-truncate, ...
+// and its fsync, mid-rotation, mid-snapshot-rename, mid-unlink, ...
 
 #ifndef DATACELL_TESTS_CRASH_UTIL_H_
 #define DATACELL_TESTS_CRASH_UTIL_H_
@@ -70,6 +70,13 @@ class CrashEnv : public storage::WalEnv {
   int64_t OpCount() const {
     std::lock_guard<std::mutex> l(mu_);
     return op_count_;
+  }
+
+  /// Bytes handed to executed File::Append calls so far (what the engine
+  /// wrote, synced or not).
+  uint64_t BytesAppended() const {
+    std::lock_guard<std::mutex> l(mu_);
+    return bytes_appended_;
   }
 
   /// True once the armed trip actually fired.
@@ -142,7 +149,9 @@ class CrashEnv : public storage::WalEnv {
         : env_(env), path_(std::move(path)) {}
 
     Status Append(std::string_view data) override {
-      if (env_->NextOp(nullptr) != Action::kExecute) return Status::OK();
+      if (env_->NextOp(nullptr, data.size()) != Action::kExecute) {
+        return Status::OK();
+      }
       pending_.append(data.data(), data.size());
       return Status::OK();
     }
@@ -201,8 +210,9 @@ class CrashEnv : public storage::WalEnv {
   };
 
   /// Counts one operation and decides its fate. `op_out` (may be null)
-  /// receives the operation's index, for torn-length derivation.
-  Action NextOp(int64_t* op_out) {
+  /// receives the operation's index, for torn-length derivation;
+  /// `append_bytes` is the size of an Append, counted if it executes.
+  Action NextOp(int64_t* op_out, size_t append_bytes = 0) {
     std::lock_guard<std::mutex> l(mu_);
     const int64_t k = op_count_++;
     if (op_out != nullptr) *op_out = k;
@@ -211,11 +221,13 @@ class CrashEnv : public storage::WalEnv {
       dead_ = true;
       return style_ == Style::kTorn ? Action::kTear : Action::kSwallow;
     }
+    bytes_appended_ += append_bytes;
     return Action::kExecute;
   }
 
   mutable std::mutex mu_;
   int64_t op_count_ = 0;
+  uint64_t bytes_appended_ = 0;
   int64_t trip_at_ = -1;
   Style style_ = Style::kDropTail;
   uint64_t torn_seed_ = 0;

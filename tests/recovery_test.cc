@@ -2,8 +2,9 @@
 //
 // Durability proof (docs/DURABILITY.md): kill-and-recover at EVERY
 // filesystem operation the durability layer performs — mid-WAL-record,
-// between an append and its fsync, mid-snapshot-rename, after a snapshot
-// lands but before the WALs truncate — then recover on the real files,
+// between an append and its fsync, mid-segment-rotation,
+// mid-snapshot-rename, after a snapshot lands but before the old
+// segments are unlinked, mid-unlink — then recover on the real files,
 // resume the deterministic row tape, and compare every query's emission
 // sequence against an uninterrupted oracle:
 //
@@ -15,12 +16,14 @@
 // The suffix half proves no divergence and no duplication; the bound half
 // proves nothing is lost beyond what a checkpoint had durably handed to
 // sinks before the crash. Storage-level unit tests (framing, torn-tail
-// scans, snapshot prev-fallback), an fsync-policy sweep, and a threaded
-// background-checkpointer round-trip ride along.
+// scans, snapshot prev-fallback, CRC and codec golden values, segment
+// rotation), an fsync-policy sweep, a checkpoint-cost bound, and a
+// threaded background-checkpointer round-trip ride along.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -143,6 +146,248 @@ TEST(WalCodec, RecordsRoundTripThroughWriterAndScan) {
   ASSERT_TRUE(r6.ok());
   EXPECT_EQ(*r6, 42u);
 
+  RemoveDirRecursive(dir);
+}
+
+// The slicing-by-8 CRC is the IEEE CRC32 every existing log was written
+// with: the standard check value, and equality with the bytewise
+// reference for every length up to 4 KiB at every misalignment.
+TEST(Crc32, KnownAnswer) {
+  EXPECT_EQ(storage::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(storage::Crc32("", 0), 0u);
+}
+
+TEST(Crc32, SlicingBy8MatchesBytewiseReference) {
+  constexpr size_t kMax = 4096;
+  std::vector<unsigned char> buf(kMax + 8);
+  Rng rng(20261020);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    // Bit-at-a-time reference register, extended one byte per length.
+    uint32_t ref = 0xFFFFFFFFu;
+    for (size_t n = 0; n <= kMax; ++n) {
+      ASSERT_EQ(storage::Crc32(buf.data() + offset, n), ref ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << n;
+      ref ^= buf[offset + n];
+      for (int k = 0; k < 8; ++k) {
+        ref = (ref & 1) ? 0xEDB88320u ^ (ref >> 1) : ref >> 1;
+      }
+    }
+  }
+}
+
+std::string Hex(const std::string& bytes) {
+  std::string out;
+  for (unsigned char c : bytes) out += StrFormat("%02x", c);
+  return out;
+}
+
+/// Every column shape the codec distinguishes: fixed-width with and
+/// without NULLs, booleans, strings with NULLs, an all-NULL-ish double.
+std::vector<BatPtr> GoldenColumns() {
+  std::vector<BatPtr> cols;
+  cols.push_back(Bat::MakeI64({1, -2, INT64_MAX}));
+  BatPtr ts = Bat::MakeEmpty(TypeId::kTs);
+  ts->AppendI64(5);
+  ts->AppendNull();
+  ts->AppendI64(-7);
+  cols.push_back(ts);
+  cols.push_back(Bat::MakeF64({0.5, -1.25, 3.0}));
+  cols.push_back(Bat::MakeBool({1, 0, 1}));
+  BatPtr str = Bat::MakeEmpty(TypeId::kStr);
+  str->AppendStr("a");
+  str->AppendNull();
+  str->AppendStr("xyz");
+  cols.push_back(str);
+  BatPtr f = Bat::MakeEmpty(TypeId::kF64);
+  f->AppendNull();
+  f->AppendF64(2.0);
+  f->AppendNull();
+  cols.push_back(f);
+  return cols;
+}
+
+// The bulk codec writes byte-for-byte what the per-value encoder wrote
+// (hex captured from that encoder), so existing logs stay readable and
+// the log bytes of a workload do not change.
+TEST(WalCodec, EncodingIsByteIdenticalToTheFormat) {
+  EXPECT_EQ(
+      Hex(storage::EncodeBatch(9, 40, 3, GoldenColumns())),
+      "0209000000000000002800000000000000030000000000000006000000010300"
+      "000000000000000100000000000000feffffffffffffffffffffffffffff7f04"
+      "03000000000000000100010005000000000000000000000000000000f9ffffff"
+      "ffffffff02030000000000000000000000000000e03f000000000000f4bf0000"
+      "0000000008400003000000000000000001000103030000000000000001000100"
+      "0100000061000000000300000078797a02030000000000000001010001000000"
+      "000000000000000000000000400000000000000000");
+  EXPECT_EQ(Hex(storage::FrameRecord(
+                    storage::EncodeBatch(9, 40, 3, GoldenColumns()))
+                    .substr(0, 8)),
+            "d500000069d33ffd");
+  storage::WalReset reset;
+  reset.start_seq = 17;
+  reset.next_ordinal = 5;
+  reset.watermark = -3;
+  reset.sealed = true;
+  EXPECT_EQ(Hex(storage::EncodeReset(reset)),
+            "0111000000000000000500000000000000fdffffffffffffff01");
+  EXPECT_EQ(Hex(storage::EncodeHeartbeat(1234567)), "0387d6120000000000");
+  EXPECT_EQ(Hex(storage::EncodeSeal()), "04");
+  EXPECT_EQ(Hex(storage::EncodeStatement("CREATE STREAM s (x int)")),
+            "0a170000004352454154452053545245414d207320287820696e7429");
+  storage::WalSubmit sub;
+  sub.token = 42;
+  sub.sql = "SELECT 1";
+  sub.mode = 1;
+  sub.name = "q";
+  sub.origins = {7, 9};
+  sub.batch_cursor = 3;
+  sub.node_label = "s#1";
+  sub.node_origin = 7;
+  EXPECT_EQ(Hex(storage::EncodeSubmit(sub)),
+            "0b2a000000000000000800000053454c45435420310101000000710200000007"
+            "0000000000000009000000000000000300000000000000030000007323310700"
+            "000000000000");
+  EXPECT_EQ(Hex(storage::EncodeRemove(42)), "0c2a00000000000000");
+}
+
+// Decoding restores every value and NULL, through the bulk path
+// (NULL-free fixed-width columns) and the per-row path alike.
+TEST(WalCodec, BatchesDecodeToTheirColumns) {
+  const std::vector<BatPtr> cols = GoldenColumns();
+  storage::WalRecord rec;
+  const std::string payload = storage::EncodeBatch(9, 40, 3, cols);
+  rec.type = storage::WalRecordType::kBatch;
+  rec.body = payload.substr(1);
+  auto b = storage::DecodeBatch(rec);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b->ordinal, 9u);
+  EXPECT_EQ(b->begin_seq, 40u);
+  EXPECT_EQ(b->rows, 3u);
+  ASSERT_EQ(b->cols.size(), cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    ASSERT_EQ(b->cols[c]->type(), cols[c]->type()) << "column " << c;
+    ASSERT_EQ(b->cols[c]->size(), cols[c]->size()) << "column " << c;
+    for (uint64_t i = 0; i < cols[c]->size(); ++i) {
+      EXPECT_EQ(b->cols[c]->GetValue(i).ToString(),
+                cols[c]->GetValue(i).ToString())
+          << "column " << c << " row " << i;
+      EXPECT_EQ(b->cols[c]->IsNull(i), cols[c]->IsNull(i));
+    }
+  }
+  // A payload cut anywhere fails to decode instead of inventing values.
+  for (size_t cut = 1; cut < rec.body.size(); cut += 7) {
+    storage::WalRecord shortened = rec;
+    shortened.body.resize(cut);
+    EXPECT_FALSE(storage::DecodeBatch(shortened).ok()) << "cut at " << cut;
+  }
+}
+
+// A head-only read returns the first record without the rest of the log.
+TEST(WalCodec, ReadWalHeadReturnsOnlyTheFirstRecord) {
+  const std::string dir = MakeTempDir("walhead");
+  const std::string path = dir + "/h.wal";
+  EXPECT_TRUE(storage::ReadWalHead(path).status().IsNotFound());
+  {
+    auto w = storage::WalWriter::Open(storage::WalEnv::Default(), path,
+                                      FsyncPolicy::kAlways, 1,
+                                      storage::WalCounters{});
+    ASSERT_TRUE(w.ok());
+    auto none = storage::ReadWalHead(path);
+    ASSERT_TRUE(none.ok());
+    EXPECT_FALSE(none->has_value()) << "magic only: no head yet";
+    ASSERT_TRUE((*w)->Append(storage::EncodeHeartbeat(11)).ok());
+    ASSERT_TRUE((*w)->Append(storage::EncodeHeartbeat(12)).ok());
+  }
+  auto head = storage::ReadWalHead(path);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  ASSERT_TRUE(head->has_value());
+  auto ts = storage::DecodeHeartbeat(**head);
+  ASSERT_TRUE(ts.ok());
+  EXPECT_EQ(*ts, 11);
+  // A torn first record is no head.
+  ASSERT_TRUE(storage::WalEnv::Default()->TruncateFile(path, 20).ok());
+  auto torn = storage::ReadWalHead(path);
+  ASSERT_TRUE(torn.ok());
+  EXPECT_FALSE(torn->has_value());
+  RemoveDirRecursive(dir);
+}
+
+// Writer-level segment lifecycle: rotation creates the next segment with
+// a head, unlinking drops only whole segments below the horizon (oldest
+// first, never the current one), and a zero-row batch at a segment's
+// end keeps it alive at horizon == end_seq.
+TEST(WalSegments, RotateAndDropWholeSegments) {
+  const std::string dir = MakeTempDir("walseg");
+  storage::WalEnv* env = storage::WalEnv::Default();
+  auto created = storage::WalWriter::CreateSegmented(
+      env, dir, "s", 0, storage::WalReset{}, FsyncPolicy::kNever, 1,
+      storage::WalCounters{});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  storage::WalWriter& w = **created;
+
+  // A segment holding only its head does not rotate.
+  auto idle = w.PrepareNextSegment();
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(*idle, nullptr);
+
+  auto rotate = [&](uint64_t seq, uint64_t ordinal) {
+    auto next = w.PrepareNextSegment();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_NE(*next, nullptr);
+    ASSERT_TRUE(w.SwitchSegment(std::move(*next),
+                                storage::WalReset{seq, ordinal, 0, false})
+                    .ok());
+    ASSERT_TRUE(w.Sync().ok());
+  };
+  auto batch = [&](uint64_t ordinal, uint64_t begin, uint64_t end) {
+    ASSERT_TRUE(w.AppendBatch(begin, end,
+                              storage::EncodeBatch(ordinal, begin, end - begin,
+                                                   {}))
+                    .ok());
+  };
+  batch(0, 0, 10);
+  rotate(10, 1);   // segment 0: [0, 10)
+  batch(1, 10, 20);
+  batch(2, 20, 20);
+  rotate(20, 3);   // segment 1: [10, 20) + a zero-row batch at 20
+  batch(3, 20, 30);
+  rotate(30, 4);   // segment 2: [20, 30); segment 3 is current
+
+  // A head that does not continue the current segment is refused.
+  batch(4, 30, 35);
+  {
+    auto next = w.PrepareNextSegment();
+    ASSERT_TRUE(next.ok());
+    ASSERT_NE(*next, nullptr);
+    EXPECT_FALSE(w.SwitchSegment(std::move(*next),
+                                 storage::WalReset{31, 5, 0, false})
+                     .ok());
+  }
+
+  // Segment 4 is the refused rotation's file: created, never switched to.
+  auto on_disk = [&] {
+    auto listing = storage::ListWalSegments(dir, "s");
+    EXPECT_TRUE(listing.ok());
+    EXPECT_FALSE(listing->legacy);
+    return listing->numbers;
+  };
+  ASSERT_TRUE(w.DropSegmentsBelow(9).ok());
+  EXPECT_EQ(on_disk(), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+  ASSERT_TRUE(w.DropSegmentsBelow(20).ok());
+  EXPECT_EQ(on_disk(), (std::vector<uint64_t>{1, 2, 3, 4}))
+      << "segment 1 ends on a zero-row batch";
+  ASSERT_TRUE(w.DropSegmentsBelow(1000).ok());
+  EXPECT_EQ(on_disk(), (std::vector<uint64_t>{3, 4}))
+      << "the current segment always stays";
+  auto head = storage::ReadWalHead(storage::WalSegmentPath(dir, "s", 3));
+  ASSERT_TRUE(head.ok() && head->has_value());
+  auto reset = storage::DecodeReset(**head);
+  ASSERT_TRUE(reset.ok());
+  EXPECT_EQ(reset->start_seq, 30u);
+  EXPECT_EQ(reset->next_ordinal, 4u);
   RemoveDirRecursive(dir);
 }
 
@@ -403,6 +648,12 @@ class RecoveryTest : public ::testing::Test {
     }
   }
 
+  /// Kills the scripted run at every filesystem op (strided under
+  /// sanitizers) in both styles and checks each recovery.
+  void EnumerateCrashPoints(const std::vector<WRow>& rows,
+                            const std::vector<size_t>& ckpts,
+                            bool expect_unlinks);
+
   std::string dir_;
 };
 
@@ -513,9 +764,10 @@ TEST_F(RecoveryTest, RemoveContinuousSurvivesRestart) {
 // A tier-F alias whose FOUNDING query was removed before the last
 // checkpoint: the founder's token has no snapshot entry, so its replay
 // restores stale submit-time origins — below the WAL truncation floor
-// once a second checkpoint cut the logs. The surviving alias's snapshot
-// progress must be re-applied when its kSubmit replays, or recovery
-// re-reads rows that no longer exist / re-emits delivered output.
+// once a later checkpoint unlinked the oldest log segment. The surviving
+// alias's snapshot progress must be re-applied when its kSubmit replays,
+// or recovery re-reads rows that no longer exist / re-emits delivered
+// output.
 TEST_F(RecoveryTest, AliasRestoresSnapshotProgressAfterFounderRemoval) {
   const std::vector<WRow> rows = WorkloadRows(36);
   // The stream-stream join: not tier-P eligible, so the alias shares the
@@ -531,9 +783,9 @@ TEST_F(RecoveryTest, AliasRestoresSnapshotProgressAfterFounderRemoval) {
     auto a = e.SubmitContinuous(sql, testutil::WithMode(ExecMode::kIncremental));
     auto b = e.SubmitContinuous(sql, testutil::WithMode(ExecMode::kIncremental));
     ASSERT_TRUE(a.ok() && b.ok());
-    WorkloadFeed(e, rows, 0, 0, 12);
+    WorkloadFeed(e, rows, 0, 0, 8);
     ASSERT_TRUE(e.RemoveContinuous(*a).ok());
-    WorkloadFeed(e, rows, 12, 12, rows.size());
+    WorkloadFeed(e, rows, 8, 8, rows.size());
     WorkloadSeal(e);
     auto r = e.TakeResults(*b);
     ASSERT_TRUE(r.ok());
@@ -549,14 +801,19 @@ TEST_F(RecoveryTest, AliasRestoresSnapshotProgressAfterFounderRemoval) {
     auto a = e.SubmitContinuous(sql, testutil::WithMode(ExecMode::kIncremental));
     auto b = e.SubmitContinuous(sql, testutil::WithMode(ExecMode::kIncremental));
     ASSERT_TRUE(a.ok() && b.ok());
-    WorkloadFeed(e, rows, 0, 0, 12);
+    WorkloadFeed(e, rows, 0, 0, 8);
     ASSERT_TRUE(e.RemoveContinuous(*a).ok());
+    // The first checkpoint closes segment 0 at row 8; the second
+    // captures a horizon past it; the third unlinks it, making the
+    // founder's submit-time origins unreplayable.
+    ASSERT_TRUE(e.Checkpoint().ok());
+    WorkloadFeed(e, rows, 8, 8, 20);
     at_ckpt = e.GetFactory(*b)->Stats().emissions;
-    // Two checkpoints: the second truncates the WALs to the first's
-    // horizon, making the founder's submit-time origins unreplayable.
     ASSERT_TRUE(e.Checkpoint().ok());
     ASSERT_TRUE(e.Checkpoint().ok());
-    WorkloadFeed(e, rows, 12, 12, 24);
+    ASSERT_GT(e.metrics().GetCounter("wal.truncations")->Value(), 0u)
+        << "no segment unlinked: the founder's origins stay replayable";
+    WorkloadFeed(e, rows, 20, 20, 24);
   }
 
   Engine rec(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
@@ -577,12 +834,24 @@ TEST_F(RecoveryTest, AliasRestoresSnapshotProgressAfterFounderRemoval) {
       << "recovery lost emissions the checkpoint never covered";
 }
 
-// The tentpole: enumerate every crash point of the scripted run (two
-// checkpoints, fsync=interval) under both loss styles and hold recovery
-// to the suffix + checkpoint-bound contract.
+// The tentpole: enumerate every crash point of the scripted run
+// (fsync=interval) under both loss styles and hold recovery to the
+// suffix + checkpoint-bound contract. Two schedules: two checkpoints
+// (rotations, nothing old enough to unlink yet), and four checkpoints
+// far enough apart that the later ones unlink segments — so the
+// enumeration kills mid-rotation and mid-unlink too.
 TEST_F(RecoveryTest, CrashPointEnumerationMatchesOracle) {
-  const std::vector<WRow> rows = WorkloadRows(40);
-  const std::vector<size_t> ckpts = {14, 28};
+  EnumerateCrashPoints(WorkloadRows(40), {14, 28}, /*expect_unlinks=*/false);
+}
+
+TEST_F(RecoveryTest, CrashPointEnumerationAcrossSegmentUnlinks) {
+  EnumerateCrashPoints(WorkloadRows(48), {8, 18, 28, 38},
+                       /*expect_unlinks=*/true);
+}
+
+void RecoveryTest::EnumerateCrashPoints(const std::vector<WRow>& rows,
+                                        const std::vector<size_t>& ckpts,
+                                        bool expect_unlinks) {
   const FsyncPolicy policy = FsyncPolicy::kInterval;
 
   std::vector<std::vector<std::string>> oracle;
@@ -600,6 +869,13 @@ TEST_F(RecoveryTest, CrashPointEnumerationMatchesOracle) {
     {
       Engine e(DurableSyncOptions(cdir, &env, policy));
       RunScript(e, rows, ckpts, &env, &marks);
+      const uint64_t unlinks =
+          e.metrics().GetCounter("wal.truncations")->Value();
+      if (expect_unlinks) {
+        ASSERT_GT(unlinks, 0u) << "schedule never unlinks a segment";
+      } else {
+        ASSERT_EQ(unlinks, 0u);
+      }
     }
     n_ops = env.OpCount();
     RemoveDirRecursive(cdir);
@@ -795,17 +1071,219 @@ TEST(RecoveryThreaded, BackgroundCheckpointerRecovers) {
 TEST_F(RecoveryTest, DurabilityMetricsAreExposed) {
   const std::vector<WRow> rows = WorkloadRows(24);
   Engine e(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
-  // Two checkpoints: a WAL is only truncated to the PREVIOUS checkpoint's
-  // horizon, so the first checkpoint snapshots but cannot cut yet.
-  std::vector<int> qids = RunScript(e, rows, {8, 16}, nullptr, nullptr);
+  // Three checkpoints: a segment is unlinked only once the PREVIOUS
+  // checkpoint's horizon passed its end — the first checkpoint rotates
+  // segment 0, the second captures a horizon beyond it, the third
+  // unlinks it.
+  std::vector<int> qids = RunScript(e, rows, {8, 16, 24}, nullptr, nullptr);
   WorkloadSeal(e);
   WorkloadTake(e, qids);
   EXPECT_GT(e.metrics().GetCounter("wal.records")->Value(), 0u);
   EXPECT_GT(e.metrics().GetCounter("wal.bytes")->Value(), 0u);
   EXPECT_GT(e.metrics().GetCounter("wal.syncs")->Value(), 0u);
   EXPECT_GT(e.metrics().GetCounter("wal.truncations")->Value(), 0u);
-  EXPECT_EQ(e.metrics().GetCounter("snapshot.writes")->Value(), 2u);
+  EXPECT_EQ(e.metrics().GetCounter("snapshot.writes")->Value(), 3u);
   EXPECT_GT(e.metrics().GetCounter("snapshot.bytes")->Value(), 0u);
+}
+
+// A checkpoint's cost does not grow with the log it retains: after the
+// same warm-up, one Checkpoint() performs the same filesystem operations
+// and writes the same bytes whether each interval holds 10 batches or
+// 200 (rotation writes a magic and a head, truncation unlinks whole
+// segments — nothing is read back or rewritten). Across 50 checkpoints
+// the WAL on disk never exceeds the last two intervals plus heads.
+TEST(CheckpointCost, ConstantInTheRetainedLog) {
+  struct Cost {
+    int64_t ops = 0;
+    uint64_t bytes = 0;
+  };
+  auto run = [](int batches_per_interval) {
+    const std::string dir = MakeTempDir("ckptcost");
+    CrashEnv env;
+    Cost last;
+    {
+      Engine e(DurableSyncOptions(dir, &env, FsyncPolicy::kNever));
+      EXPECT_TRUE(e.Execute("CREATE STREAM s (ts timestamp, v int)").ok());
+      auto q = e.SubmitContinuous(
+          "SELECT count(*), sum(v) FROM s [ROWS 2 SLIDE 2]");
+      EXPECT_TRUE(q.ok()) << q.status().ToString();
+      const auto wal_bytes = e.metrics().GetCounter("wal.bytes");
+      // Magic plus a framed kReset head, per segment.
+      const uint64_t head_bytes =
+          sizeof(storage::kWalMagic) + 8 +
+          storage::EncodeReset(storage::WalReset{}).size();
+      int64_t ts = 0;
+      uint64_t prev_interval = 0;
+      for (int c = 0; c < 50; ++c) {
+        const uint64_t before = wal_bytes->Value();
+        for (int i = 0; i < batches_per_interval; ++i) {
+          ++ts;
+          EXPECT_TRUE(e.PushRow("s", {Value::Ts(ts), Value::I64(ts % 7)}).ok());
+          e.Pump();
+        }
+        const uint64_t interval = wal_bytes->Value() - before;
+        const int64_t ops0 = env.OpCount();
+        const uint64_t bytes0 = env.BytesAppended();
+        EXPECT_TRUE(e.Checkpoint().ok());
+        last = {env.OpCount() - ops0, env.BytesAppended() - bytes0};
+
+        uint64_t on_disk = 0;
+        size_t segments = 0;
+        for (const auto& ent : std::filesystem::directory_iterator(dir)) {
+          const std::string name = ent.path().filename().string();
+          if (name.rfind("s.", 0) != 0) continue;
+          on_disk += std::filesystem::file_size(ent.path());
+          ++segments;
+        }
+        EXPECT_LE(segments, 3u) << "checkpoint " << c;
+        EXPECT_LE(on_disk, interval + prev_interval + segments * head_bytes)
+            << "checkpoint " << c << ": the log outgrew two intervals";
+        prev_interval = interval;
+      }
+      EXPECT_GT(e.metrics().GetCounter("wal.truncations")->Value(), 40u);
+    }
+    RemoveDirRecursive(dir);
+    return last;
+  };
+  const Cost small = run(10);
+  const Cost large = run(200);
+  EXPECT_EQ(small.ops, large.ops);
+  EXPECT_EQ(small.bytes, large.bytes);
+  EXPECT_GT(small.ops, 0);
+}
+
+/// Rewrites `path` as a log holding `records` (the crafted-damage tool of
+/// the continuity test below).
+void RewriteLog(const std::string& path,
+                const std::vector<storage::WalRecord>& records) {
+  ASSERT_TRUE(storage::WalEnv::Default()->RemoveFile(path).ok());
+  auto w = storage::WalWriter::Open(storage::WalEnv::Default(), path,
+                                    FsyncPolicy::kAlways, 1,
+                                    storage::WalCounters{});
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  for (const storage::WalRecord& rec : records) {
+    std::string payload(1, static_cast<char>(rec.type));
+    payload += rec.body;
+    ASSERT_TRUE((*w)->Append(payload).ok());
+  }
+}
+
+// A later segment's head is a continuity check, not a reset. When the
+// segment before it lost its tail (here: its last record cut off at a
+// record boundary, which no checksum can notice), the log ends there and
+// going live deletes the later segment; when the position matches but
+// the watermark does not, replay diverged and recovery refuses.
+TEST_F(RecoveryTest, LaterSegmentHeadsAreContinuityChecks) {
+  const std::vector<WRow> rows = WorkloadRows(30);
+  {
+    Engine e(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
+    WorkloadDdl(e);
+    WorkloadFeed(e, rows, 0, 0, 10);
+    ASSERT_TRUE(e.Checkpoint().ok());  // s.0.wal closes at row 10
+    WorkloadFeed(e, rows, 10, 10, 20);
+    ASSERT_TRUE(e.Checkpoint().ok());  // s.1.wal closes at row 20
+    WorkloadFeed(e, rows, 20, 20, 30);
+  }
+  const std::string seg1 = storage::WalSegmentPath(dir_, "s", 1);
+  const std::string seg2 = storage::WalSegmentPath(dir_, "s", 2);
+  auto scan1 = storage::ReadWalFile(seg1);
+  auto scan2 = storage::ReadWalFile(seg2);
+  ASSERT_TRUE(scan1.ok() && scan2.ok());
+  const std::string twin = MakeTempDir("continuity");
+  testutil::CopyDir(dir_, twin);
+
+  // Segment 1 without its last batch: segment 2's head no longer follows.
+  std::vector<storage::WalRecord> cut = scan1->records;
+  while (!cut.empty() && cut.back().type != storage::WalRecordType::kBatch) {
+    cut.pop_back();
+  }
+  ASSERT_GT(cut.size(), 1u);
+  cut.pop_back();
+  uint64_t cut_end = 0;
+  for (const storage::WalRecord& rec : cut) {
+    if (rec.type == storage::WalRecordType::kReset) {
+      cut_end = storage::DecodeReset(rec)->start_seq;
+    } else if (rec.type == storage::WalRecordType::kBatch) {
+      auto b = storage::DecodeBatch(rec);
+      cut_end = b->begin_seq + b->rows;
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(RewriteLog(seg1, cut));
+  {
+    Engine rec(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
+    ASSERT_TRUE(rec.recovery_status().ok())
+        << rec.recovery_status().ToString();
+    EXPECT_EQ(rec.GetBasket("s")->HighSeq(), cut_end);
+    EXPECT_EQ(rec.GetBasket("r")->HighSeq(), rows.size());
+    // Appends continue on segment 1, right after the cut.
+    WorkloadFeed(rec, rows, cut_end, rows.size(), rows.size());
+  }
+  EXPECT_FALSE(std::filesystem::exists(seg2))
+      << "a segment past the valid prefix survived going live";
+  {
+    Engine rec(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
+    ASSERT_TRUE(rec.recovery_status().ok())
+        << rec.recovery_status().ToString();
+    EXPECT_EQ(rec.GetBasket("s")->HighSeq(), rows.size());
+  }
+
+  // Segment 2's head at the right position with a different watermark.
+  std::vector<storage::WalRecord> forged = scan2->records;
+  ASSERT_EQ(forged[0].type, storage::WalRecordType::kReset);
+  storage::WalReset head = *storage::DecodeReset(forged[0]);
+  head.watermark += 1;
+  forged[0].body = storage::EncodeReset(head).substr(1);
+  ASSERT_NO_FATAL_FAILURE(
+      RewriteLog(storage::WalSegmentPath(twin, "s", 2), forged));
+  {
+    Engine rec(DurableSyncOptions(twin, nullptr, FsyncPolicy::kAlways));
+    EXPECT_FALSE(rec.recovery_status().ok());
+  }
+  EXPECT_TRUE(std::filesystem::exists(storage::WalSegmentPath(twin, "s", 2)))
+      << "a refused recovery deleted log segments";
+  RemoveDirRecursive(twin);
+}
+
+// A single-file `<stream>.wal` from before segmented logs is read as
+// segment 0 (renamed into place), never ignored; beside numbered
+// segments it is ambiguous and recovery refuses.
+TEST_F(RecoveryTest, SingleFileLogIsReadAsSegmentZero) {
+  const std::vector<WRow> rows = WorkloadRows(24);
+  std::vector<std::vector<std::string>> oracle;
+  std::vector<int> qids;
+  {
+    Engine e(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kNever));
+    qids = RunScript(e, rows, {}, nullptr, nullptr);
+    WorkloadSeal(e);
+    oracle = WorkloadTake(e, qids);
+  }
+  for (const char* stream : {"s", "r"}) {
+    ASSERT_EQ(::rename(storage::WalSegmentPath(dir_, stream, 0).c_str(),
+                       (dir_ + "/" + stream + ".wal").c_str()),
+              0);
+  }
+  const std::string twin = MakeTempDir("legacytwin");
+  testutil::CopyDir(dir_, twin);
+  {
+    Engine rec(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kNever));
+    ASSERT_TRUE(rec.recovery_status().ok())
+        << rec.recovery_status().ToString();
+    EXPECT_EQ(rec.GetBasket("s")->HighSeq(), rows.size());
+    EXPECT_EQ(WorkloadTake(rec, qids), oracle);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/s.wal"));
+  EXPECT_TRUE(std::filesystem::exists(storage::WalSegmentPath(dir_, "s", 0)));
+
+  // Both layouts at once: which one is the log is unknowable.
+  ASSERT_EQ(::rename((twin + "/r.wal").c_str(),
+                     storage::WalSegmentPath(twin, "s", 1).c_str()),
+            0);
+  {
+    Engine rec(DurableSyncOptions(twin, nullptr, FsyncPolicy::kNever));
+    EXPECT_FALSE(rec.recovery_status().ok());
+  }
+  EXPECT_TRUE(std::filesystem::exists(twin + "/s.wal"));
+  RemoveDirRecursive(twin);
 }
 
 }  // namespace
