@@ -7,6 +7,9 @@ namespace dc::ops {
 
 namespace {
 
+/// Seed of every multi-key row hash (GroupBy, GroupedAggMerger).
+constexpr uint64_t kKeyHashSeed = 0x9ae16a3b2f90404fULL;
+
 uint64_t HashCell(const Bat& col, Oid o) {
   switch (col.type()) {
     case TypeId::kBool:
@@ -37,6 +40,23 @@ bool CellsEqual(const Bat& col, Oid a, Oid b) {
   return false;
 }
 
+/// Whether row `o` of `col` equals `v` as Value::operator== would.
+bool CellEquals(const Bat& col, Oid o, const Value& v) {
+  if (col.IsNull(o) || v.is_null()) return col.IsNull(o) && v.is_null();
+  switch (col.type()) {
+    case TypeId::kBool:
+      return (col.BoolData()[o] != 0) == v.AsBool();
+    case TypeId::kI64:
+    case TypeId::kTs:
+      return col.I64Data()[o] == v.AsI64();
+    case TypeId::kF64:
+      return col.F64Data()[o] == v.AsF64();
+    case TypeId::kStr:
+      return col.StrAt(o) == v.AsStr();
+  }
+  return false;
+}
+
 }  // namespace
 
 Result<GroupResult> GroupBy(const std::vector<const Bat*>& keys,
@@ -56,7 +76,7 @@ Result<GroupResult> GroupBy(const std::vector<const Bat*>& keys,
   std::unordered_map<uint64_t, std::vector<uint32_t>> index;
 
   auto row_hash = [&](Oid o) {
-    uint64_t h = 0x9ae16a3b2f90404fULL;
+    uint64_t h = kKeyHashSeed;
     for (const Bat* k : keys) h = HashCombine(h, HashCell(*k, o));
     return h;
   };
@@ -125,7 +145,7 @@ GroupedAggMerger::GroupedAggMerger(
     : key_types_(std::move(key_types)), aggs_(std::move(aggs)) {}
 
 uint64_t GroupedAggMerger::HashKey(const std::vector<Value>& key) const {
-  uint64_t h = 0x9ae16a3b2f90404fULL;
+  uint64_t h = kKeyHashSeed;
   for (const Value& v : key) {
     switch (v.type()) {
       case TypeId::kBool:
@@ -155,15 +175,28 @@ Status GroupedAggMerger::AddPartial(const std::vector<const Bat*>& keys,
     return Status::InvalidArgument("AddPartial: value column count mismatch");
   }
   const uint64_t n = keys.empty() ? 0 : keys[0]->size();
+  // Rows are hashed and compared straight from the columns (the hash is
+  // HashKey's, so groups merged in by MergeFrom meet the same chains); a
+  // row becomes Values only when it starts a new group. Aggregates other
+  // than MIN/MAX never read the extrema and skip tracking them.
+  std::vector<bool> minmax(aggs_.size());
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    minmax[a] = aggs_[a].first == AggKind::kMin ||
+                aggs_[a].first == AggKind::kMax;
+  }
+  auto row_equals = [&keys](uint64_t i, const std::vector<Value>& key) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (!CellEquals(*keys[k], i, key[k])) return false;
+    }
+    return true;
+  };
   for (uint64_t i = 0; i < n; ++i) {
-    std::vector<Value> key;
-    key.reserve(keys.size());
-    for (const Bat* k : keys) key.push_back(k->GetValue(i));
-    const uint64_t h = HashKey(key);
+    uint64_t h = kKeyHashSeed;
+    for (const Bat* k : keys) h = HashCombine(h, HashCell(*k, i));
     auto& chain = index_[h];
     uint32_t gid = UINT32_MAX;
     for (uint32_t g : chain) {
-      if (group_keys_[g].key == key) {
+      if (row_equals(i, group_keys_[g].key)) {
         gid = g;
         break;
       }
@@ -172,14 +205,15 @@ Status GroupedAggMerger::AddPartial(const std::vector<const Bat*>& keys,
       gid = static_cast<uint32_t>(group_keys_.size());
       chain.push_back(gid);
       GroupEntry entry;
-      entry.key = std::move(key);
+      entry.key.reserve(keys.size());
+      for (const Bat* k : keys) entry.key.push_back(k->GetValue(i));
       entry.states.resize(aggs_.size());
       group_keys_.push_back(std::move(entry));
     }
     GroupEntry& entry = group_keys_[gid];
     for (size_t a = 0; a < aggs_.size(); ++a) {
       if (values[a] != nullptr) {
-        entry.states[a].Add(values[a]->GetValue(i));
+        entry.states[a].AddCell(*values[a], i, minmax[a]);
       } else {
         ++entry.states[a].count;
       }

@@ -402,6 +402,13 @@ BasketView Basket::Read(uint64_t from_seq, uint64_t max_rows) const {
   return view;
 }
 
+void Basket::ReadInPlace(
+    const std::function<void(const std::vector<BatPtr>& cols, uint64_t rows)>&
+        fn) const {
+  MutexLock lock(mu_);
+  fn(cols_, high_ - base_);
+}
+
 Result<std::pair<uint64_t, uint64_t>> Basket::SeqRangeForTs(
     Micros ts_lo, Micros ts_hi) const {
   if (!HasEventTime()) {

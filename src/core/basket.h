@@ -238,6 +238,15 @@ class Basket {
   BasketView Read(uint64_t from_seq,
                   uint64_t max_rows = UINT64_MAX) const;
 
+  /// Runs `fn` inside the basket lock over the resident columns: `rows`
+  /// rows, from the drop horizon to the high sequence. For a reader that
+  /// needs no copy (a one-time query runs its prejoin stage here). `fn`
+  /// must not keep the columns past its return, and may only take locks
+  /// ranked above kBasket.
+  void ReadInPlace(
+      const std::function<void(const std::vector<BatPtr>& cols,
+                               uint64_t rows)>& fn) const;
+
   /// Sequence range [lo_seq, hi_seq) of resident rows with event ts in
   /// [ts_lo, ts_hi). Requires an event-time column (binary search; event
   /// timestamps are non-decreasing).

@@ -1,11 +1,5 @@
 #include "core/engine.h"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
-#include <mutex>
-
 #include "monitor/trace.h"
 #include "plan/binder.h"
 #include "plan/optimizer.h"
@@ -42,25 +36,8 @@ void SharingKeys(const plan::CompiledQuery& cq, ExecMode mode,
   *full_key = *prefix_key + '\x1e' + cq.finish_signature + '\x1e' + geom;
 }
 
-// Allocator policy, set once per process (glibc only). Fires and
-// one-time queries allocate and free column buffers of hundreds of KB
-// to a few MB at a steady rate. glibc's defaults return freed memory at
-// the top of the heap to the kernel as soon as it passes a small
-// threshold, and serve requests over 128 KB with fresh mmaps until its
-// dynamic threshold has grown, so the next fire or query page-faults the
-// same buffers back in (measured: a 40 K-row one-time join took ≈ 1.8×
-// longer). Keep column-sized buffers on the heap, and up to 32 MB of
-// freed heap mapped.
-void TuneAllocator() {
-#if defined(__GLIBC__)
-  static std::once_flag once;
-  // mallopt is not thread-safe against itself; call_once serializes it.
-  std::call_once(once, [] {
-    mallopt(M_MMAP_THRESHOLD, 8 << 20);   // NOLINT(concurrency-mt-unsafe)
-    mallopt(M_TRIM_THRESHOLD, 32 << 20);  // NOLINT(concurrency-mt-unsafe)
-  });
-#endif
-}
+/// The catalog log's file name in the durability directory.
+constexpr char kCatalogLog[] = "catalog.wal";
 
 }  // namespace
 
@@ -69,7 +46,6 @@ Engine::Engine(EngineOptions options)
       scheduler_(Scheduler::Options{options.scheduler_workers,
                                     options.scheduler_shards,
                                     options.scheduler_work_stealing}) {
-  TuneAllocator();
   if (options_.enable_tracing) trace::AddEnableRef();
   if (!options_.durability.dir.empty()) {
     wal_env_ = options_.durability.env != nullptr ? options_.durability.env
@@ -237,23 +213,34 @@ Result<ColumnSet> Engine::RunSelect(const sql::SelectStmt& stmt) {
                       plan::Compile(std::move(bound)));
   exec::QueryExecutor executor(std::move(cq));
   const plan::BoundQuery& q = executor.compiled().bound;
-  std::vector<exec::StageInput> raw(q.rels.size());
+  // Each relation's prejoin stage (filter, then gather the columns the
+  // rest of the plan reads). A stream's runs inside its basket lock over
+  // the resident rows, so the basket is read in place instead of copied.
+  std::vector<exec::StageInput> compact(q.rels.size());
   for (size_t r = 0; r < q.rels.size(); ++r) {
+    const int rel = static_cast<int>(r);
+    Result<exec::StageOutput> pre = Status::Internal("prejoin did not run");
     if (q.rels[r].is_stream) {
-      // One-time over a stream: peek at current basket contents.
       Basket* basket = GetBasket(q.rels[r].name);
       if (basket == nullptr) {
         return Status::Internal("stream basket missing");
       }
-      BasketView view = basket->Read(0);
-      raw[r] = exec::StageInput{std::move(view.cols), view.rows};
+      basket->ReadInPlace(
+          [&](const std::vector<BatPtr>& cols, uint64_t rows) {
+            pre = executor.RunPrejoin(rel, exec::StageInput{cols, rows});
+          });
     } else {
       DC_ASSIGN_OR_RETURN(TablePtr table, catalog_.GetTable(q.rels[r].name));
       const TableVersionPtr snap = table->Snapshot();
-      raw[r] = exec::StageInput{snap->cols, snap->NumRows()};
+      pre = executor.RunPrejoin(
+          rel, exec::StageInput{snap->cols, snap->NumRows()});
     }
+    DC_RETURN_NOT_OK(pre.status());
+    compact[r] = exec::StageInput{std::move(pre->cols), pre->rows};
   }
-  return executor.ExecuteFull(raw);
+  DC_ASSIGN_OR_RETURN(exec::StageOutput frag, executor.RunPostjoin(compact));
+  DC_ASSIGN_OR_RETURN(exec::Partial partial, executor.MakePartial(frag));
+  return executor.Finish({&partial});
 }
 
 Result<ColumnSet> Engine::Query(std::string_view sql) {
@@ -886,7 +873,7 @@ Status Engine::InitDurability() {
   // 2. Catalog log: DDL + submits in original order. A torn tail scans
   // as a shorter valid prefix (records past it were never acknowledged
   // as durable under any fsync policy that synced them).
-  const std::string cat_path = d.dir + "/catalog.wal";
+  const std::string cat_path = d.dir + "/" + kCatalogLog;
   storage::WalScan cat;
   if (Result<storage::WalScan> s = storage::ReadWalFile(cat_path); s.ok()) {
     cat = *std::move(s);
@@ -1035,14 +1022,23 @@ Status Engine::InitDurability() {
             reset.next_ordinal != at.next_ordinal) {
           break;  // the previous segment lost its tail
         }
-        if (reset.watermark != at.watermark || reset.sealed != at.sealed) {
+        // Same position: the head is authoritative for the watermark and
+        // the seal. A heartbeat or seal ending the previous segment may
+        // be lost while this head survived — the retired tail is not yet
+        // synced when the head is written, and nothing orders writes to
+        // two files before an fsync. Replay past the head's state cannot
+        // come from the segment it follows, so that refuses.
+        if (at.watermark > reset.watermark || (at.sealed && !reset.sealed)) {
           return Status::Internal(StrFormat(
-              "basket WAL segment %s: replay diverged from its head "
+              "basket WAL segment %s: replay ran past its head "
               "(watermark %lld vs %lld, sealed %d vs %d)",
               path.c_str(), static_cast<long long>(at.watermark),
               static_cast<long long>(reset.watermark), at.sealed ? 1 : 0,
               reset.sealed ? 1 : 0));
         }
+        if (reset.watermark > at.watermark) basket->Heartbeat(reset.watermark);
+        if (reset.sealed && !at.sealed) basket->Seal();
+        Pump();
       }
       storage::WalSegment seg{log.numbers[i], reset.start_seq, false,
                               records.size() > 1};
@@ -1190,7 +1186,12 @@ Result<storage::WalSegmentListing> Engine::ListStreamSegments(
   const std::string& dir = options_.durability.dir;
   DC_ASSIGN_OR_RETURN(storage::WalSegmentListing listing,
                       storage::ListWalSegments(dir, name));
-  if (!listing.legacy) return listing;
+  // `<name>.wal` of a stream named like the catalog log is that log,
+  // never a basket's: its segments are `catalog.<n>.wal`.
+  if (!listing.legacy || name + ".wal" == kCatalogLog) {
+    listing.legacy = false;
+    return listing;
+  }
   const std::string legacy = dir + "/" + name + ".wal";
   if (!listing.numbers.empty()) {
     return Status::Internal(StrFormat(
@@ -1263,10 +1264,8 @@ Status Engine::AttachStreamWal(const std::string& name,
   storage::WalWriter* w = writer.get();
   Basket::DurabilityHooks hooks;
   hooks.on_batch = [w](const BasketBatch& b, const std::vector<BatPtr>& cols) {
-    const Status s = w->AppendBatch(
-        b.begin_seq, b.end_seq,
-        storage::EncodeBatch(b.ordinal, b.begin_seq, b.end_seq - b.begin_seq,
-                             cols));
+    const Status s = w->AppendBatch(b.ordinal, b.begin_seq,
+                                    b.end_seq - b.begin_seq, cols);
     if (!s.ok()) {
       DC_LOG(kWarn) << "WAL append failed: " << s.ToString();
     }

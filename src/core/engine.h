@@ -328,7 +328,8 @@ class Engine {
                          const std::shared_ptr<Basket>& basket);
   /// `name`'s log segments on disk. A single-file `<name>.wal` from
   /// before segmented logs is renamed into place as segment 0; refused
-  /// when numbered segments exist beside it.
+  /// when numbered segments exist beside it. `catalog.wal` is always the
+  /// catalog log.
   Result<storage::WalSegmentListing> ListStreamSegments(
       const std::string& name);
   /// Background checkpoint thread body (checkpoint_interval_ms > 0).

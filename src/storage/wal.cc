@@ -6,7 +6,6 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -113,32 +112,6 @@ class PosixWalFile : public WalFile {
       }
       p += n;
       left -= static_cast<size_t>(n);
-    }
-    return Status::OK();
-  }
-
-  Status AppendFramed(std::string_view header,
-                      std::string_view payload) override {
-    iovec iov[2] = {{const_cast<char*>(header.data()), header.size()},
-                    {const_cast<char*>(payload.data()), payload.size()}};
-    int first = 0;
-    while (first < 2) {
-      const ssize_t n = ::writev(fd_, iov + first, 2 - first);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::Internal(
-            StrFormat("wal write failed: %s", std::strerror(errno)));
-      }
-      // Advance past what was written, possibly mid-iovec.
-      size_t done = static_cast<size_t>(n);
-      while (first < 2 && done >= iov[first].iov_len) {
-        done -= iov[first].iov_len;
-        ++first;
-      }
-      if (first < 2) {
-        iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + done;
-        iov[first].iov_len -= done;
-      }
     }
     return Status::OK();
   }
@@ -475,6 +448,35 @@ Result<WalDecoder> BodyDecoder(const WalRecord& rec, WalRecordType want) {
   return WalDecoder(rec.body);
 }
 
+/// Encoded size of a kBatch payload, type byte included.
+size_t BatchPayloadBytes(const std::vector<BatPtr>& cols) {
+  size_t bytes = 1 + 8 + 8 + 8 + 4;
+  for (const BatPtr& c : cols) bytes += EncodedBatBytes(*c);
+  return bytes;
+}
+
+/// Appends a kBatch payload, type byte first, to `enc`.
+void PutBatch(WalEncoder& enc, uint64_t ordinal, uint64_t begin_seq,
+              uint64_t rows, const std::vector<BatPtr>& cols) {
+  enc.PutU8(static_cast<uint8_t>(WalRecordType::kBatch));
+  enc.PutU64(ordinal);
+  enc.PutU64(begin_seq);
+  enc.PutU64(rows);
+  enc.PutU32(static_cast<uint32_t>(cols.size()));
+  for (const BatPtr& c : cols) EncodeBat(enc, *c);
+}
+
+/// `record` is kFrameHeaderBytes of room followed by a payload: writes
+/// the [u32 len][u32 crc] frame header into that room.
+void FillFrameHeader(std::string& record) {
+  const uint32_t header[2] = {
+      static_cast<uint32_t>(record.size() - kFrameHeaderBytes),
+      Crc32(record.data() + kFrameHeaderBytes,
+            record.size() - kFrameHeaderBytes)};
+  static_assert(sizeof(header) == kFrameHeaderBytes);
+  std::memcpy(record.data(), header, sizeof(header));
+}
+
 }  // namespace
 
 std::string EncodeReset(const WalReset& r) {
@@ -488,16 +490,9 @@ std::string EncodeReset(const WalReset& r) {
 
 std::string EncodeBatch(uint64_t ordinal, uint64_t begin_seq, uint64_t rows,
                         const std::vector<BatPtr>& cols) {
-  size_t bytes = 1 + 8 + 8 + 8 + 4;
-  for (const BatPtr& c : cols) bytes += EncodedBatBytes(*c);
   WalEncoder enc;
-  enc.Reserve(bytes);
-  enc.PutU8(static_cast<uint8_t>(WalRecordType::kBatch));
-  enc.PutU64(ordinal);
-  enc.PutU64(begin_seq);
-  enc.PutU64(rows);
-  enc.PutU32(static_cast<uint32_t>(cols.size()));
-  for (const BatPtr& c : cols) EncodeBat(enc, *c);
+  enc.Reserve(BatchPayloadBytes(cols));
+  PutBatch(enc, ordinal, begin_seq, rows, cols);
   return enc.Take();
 }
 
@@ -631,20 +626,6 @@ Status NotFound(const std::string& path) {
   return Status::NotFound(StrFormat("wal file %s not found", path.c_str()));
 }
 
-/// The [u32 len][u32 crc] prefix of a framed record.
-class FrameHeader {
- public:
-  explicit FrameHeader(std::string_view payload)
-      : words_{static_cast<uint32_t>(payload.size()),
-               Crc32(payload.data(), payload.size())} {}
-  std::string_view bytes() const {
-    return {reinterpret_cast<const char*>(words_), sizeof(words_)};
-  }
-
- private:
-  uint32_t words_[2];
-};
-
 /// Parses the record framed at `pos` of `data`; nullopt when the frame
 /// is short, implausible, or fails its checksum.
 std::optional<std::string_view> FramedPayload(std::string_view data,
@@ -678,18 +659,10 @@ bool HasMagic(std::string_view data) {
 std::string FrameRecord(std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  out.append(FrameHeader(payload).bytes());
+  out.resize(kFrameHeaderBytes);
   out.append(payload);
+  FillFrameHeader(out);
   return out;
-}
-
-Status WalFile::AppendFramed(std::string_view header,
-                             std::string_view payload) {
-  std::string framed;
-  framed.reserve(header.size() + payload.size());
-  framed.append(header);
-  framed.append(payload);
-  return Append(framed);
 }
 
 Result<WalScan> ReadWalFile(const std::string& path) {
@@ -850,10 +823,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::CreateSegmented(
     w->segments_.push_back(WalSegment{number, head.start_seq, false, false});
     DC_RETURN_NOT_OK(
         w->file_->Append(std::string_view(kWalMagic, sizeof(kWalMagic))));
-    const std::string payload = EncodeReset(head);
-    DC_RETURN_NOT_OK(
-        w->AppendLocked(FrameHeader(payload).bytes(), payload,
-                        /*durable=*/false));
+    DC_RETURN_NOT_OK(w->AppendLocked(FrameRecord(EncodeReset(head)),
+                                     /*durable=*/false));
     DC_RETURN_NOT_OK(w->SyncLocked());
   }
   DC_RETURN_NOT_OK(env->SyncDir(w->dir_));
@@ -881,13 +852,12 @@ Result<std::unique_ptr<WalWriter>> WalWriter::ResumeSegmented(
   return w;
 }
 
-Status WalWriter::AppendLocked(std::string_view header,
-                               std::string_view payload, bool durable) {
+Status WalWriter::AppendLocked(std::string_view record, bool durable) {
   if (file_ == nullptr) return Status::Internal("wal writer closed");
-  DC_RETURN_NOT_OK(file_->AppendFramed(header, payload));
+  DC_RETURN_NOT_OK(file_->Append(record));
   ++unsynced_;
   if (counters_.records) counters_.records->Add(1);
-  if (counters_.bytes) counters_.bytes->Add(header.size() + payload.size());
+  if (counters_.bytes) counters_.bytes->Add(record.size());
   if (!durable) return Status::OK();
   switch (policy_) {
     case FsyncPolicy::kNever:
@@ -903,23 +873,31 @@ Status WalWriter::AppendLocked(std::string_view header,
 }
 
 Status WalWriter::Append(std::string_view payload) {
-  const FrameHeader header(payload);
+  // Framed (and checksummed) before the lock: one buffer, one write.
+  const std::string record = FrameRecord(payload);
   MutexLock lock(mu_);
   if (!segments_.empty()) segments_.back().past_head = true;
-  return AppendLocked(header.bytes(), payload, /*durable=*/true);
+  return AppendLocked(record, /*durable=*/true);
 }
 
-Status WalWriter::AppendBatch(uint64_t begin_seq, uint64_t end_seq,
-                              std::string_view payload) {
-  const FrameHeader header(payload);
+Status WalWriter::AppendBatch(uint64_t ordinal, uint64_t begin_seq,
+                              uint64_t rows, const std::vector<BatPtr>& cols) {
+  // Encoded right behind room for its frame header: the payload is
+  // never copied into a second buffer.
+  WalEncoder enc;
+  enc.Reserve(kFrameHeaderBytes + BatchPayloadBytes(cols));
+  enc.PutU64(0);  // frame header, filled in below
+  PutBatch(enc, ordinal, begin_seq, rows, cols);
+  std::string record = enc.Take();
+  FillFrameHeader(record);
   MutexLock lock(mu_);
   if (!segments_.empty()) {
     WalSegment& seg = segments_.back();
     seg.past_head = true;
-    seg.end_seq = end_seq;
-    seg.empty_batch_at_end = begin_seq == end_seq;
+    seg.end_seq = begin_seq + rows;
+    seg.empty_batch_at_end = rows == 0;
   }
-  return AppendLocked(header.bytes(), payload, /*durable=*/true);
+  return AppendLocked(record, /*durable=*/true);
 }
 
 Status WalWriter::Sync() {
@@ -967,8 +945,7 @@ Result<std::unique_ptr<WalFile>> WalWriter::PrepareNextSegment() {
 
 Status WalWriter::SwitchSegment(std::unique_ptr<WalFile> next,
                                 const WalReset& head) {
-  const std::string payload = EncodeReset(head);
-  const FrameHeader header(payload);
+  const std::string record = FrameRecord(EncodeReset(head));
   MutexLock lock(mu_);
   if (file_ == nullptr) return Status::Internal("wal writer closed");
   if (retired_ != nullptr) {
@@ -989,7 +966,7 @@ Status WalWriter::SwitchSegment(std::unique_ptr<WalFile> next,
   file_ = std::move(next);
   segments_.push_back(WalSegment{last.number + 1, head.start_seq, false,
                                  false});
-  return AppendLocked(header.bytes(), payload, /*durable=*/false);
+  return AppendLocked(record, /*durable=*/false);
 }
 
 Status WalWriter::DropSegmentsBelow(uint64_t horizon) {

@@ -53,11 +53,6 @@ class WalFile {
  public:
   virtual ~WalFile() = default;
   virtual Status Append(std::string_view data) = 0;
-  /// Appends a record's frame header then its payload as one append,
-  /// without first copying them into one buffer. The default
-  /// concatenates and calls Append.
-  virtual Status AppendFramed(std::string_view header,
-                              std::string_view payload);
   /// Makes all appended bytes durable (fsync).
   virtual Status Sync() = 0;
   virtual Status Close() = 0;
@@ -326,12 +321,14 @@ class WalWriter {
       std::vector<WalSegment> segments, FsyncPolicy policy,
       int fsync_interval, WalCounters counters);
 
-  /// Appends one framed record and applies the fsync policy.
+  /// Frames `payload` as one record, appends it and applies the fsync
+  /// policy.
   Status Append(std::string_view payload);
-  /// Append() of a kBatch payload covering basket sequences
-  /// [begin_seq, end_seq): also advances the segment's end_seq.
-  Status AppendBatch(uint64_t begin_seq, uint64_t end_seq,
-                     std::string_view payload);
+  /// Append() of the kBatch record EncodeBatch(ordinal, begin_seq, rows,
+  /// cols) would encode, framed in the buffer it is encoded into; also
+  /// advances the segment's end_seq to begin_seq + rows.
+  Status AppendBatch(uint64_t ordinal, uint64_t begin_seq, uint64_t rows,
+                     const std::vector<BatPtr>& cols);
 
   /// Forces all appended records durable regardless of policy (a
   /// retired segment's tail first, then the current file).
@@ -365,10 +362,10 @@ class WalWriter {
         fsync_interval_(fsync_interval < 1 ? 1 : fsync_interval),
         counters_(std::move(counters)) {}
 
-  /// Appends one record, `header` being its frame header (checksummed
-  /// before the lock is taken); applies the fsync policy if `durable`.
-  Status AppendLocked(std::string_view header, std::string_view payload,
-                      bool durable) DC_REQUIRES(mu_);
+  /// Appends one framed record (framed and checksummed before the lock
+  /// is taken); applies the fsync policy if `durable`.
+  Status AppendLocked(std::string_view record, bool durable)
+      DC_REQUIRES(mu_);
   Status SyncLocked() DC_REQUIRES(mu_);
 
   WalEnv* const env_;

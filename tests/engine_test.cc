@@ -55,6 +55,40 @@ TEST_F(EngineTest, OneTimeJoin) {
   EXPECT_EQ(result.cols[0]->GetValue(1).AsStr(), "three");
 }
 
+// A one-time query over a stream runs its prejoin stage on the basket's
+// own columns (no copy), and a join fetches only the columns read after
+// it; answers must not depend on which columns those are.
+TEST_F(EngineTest, OneTimeQueriesOverAStreamReadTheBasketInPlace) {
+  Exec("CREATE STREAM s (ts timestamp, g int, v int, w double, tag string)");
+  Exec("CREATE TABLE t (k int, y int)");
+  Exec("INSERT INTO t VALUES (1, 100), (2, 200)");
+  for (int64_t i = 0; i < 6; ++i) {
+    Push("s", {Value::Ts(i * 10), Value::I64(i % 3), Value::I64(i),
+               Value::F64(0.5 * static_cast<double>(i)),
+               Value::Str(StrFormat("r%lld", static_cast<long long>(i)))});
+  }
+  const ColumnSet filtered = MustQuery("SELECT v FROM s WHERE g = 1");
+  ASSERT_EQ(filtered.NumRows(), 2u);
+  EXPECT_EQ(filtered.cols[0]->GetValue(0).AsI64(), 1);
+  EXPECT_EQ(filtered.cols[0]->GetValue(1).AsI64(), 4);
+  EXPECT_EQ(MustQuery("SELECT count(*) FROM s").cols[0]->GetValue(0).AsI64(),
+            6);
+  const ColumnSet all = MustQuery("SELECT * FROM s WHERE v = 5");
+  ASSERT_EQ(all.NumRows(), 1u);
+  ASSERT_EQ(all.cols.size(), 5u);
+  EXPECT_EQ(all.cols[3]->GetValue(0).AsF64(), 2.5);
+  EXPECT_EQ(all.cols[4]->GetValue(0).AsStr(), "r5");
+  const ColumnSet joined = MustQuery(
+      "SELECT s.tag, t.y FROM s JOIN t ON s.g = t.k ORDER BY s.v");
+  ASSERT_EQ(joined.NumRows(), 4u);
+  const std::vector<std::pair<std::string, int64_t>> want = {
+      {"r1", 100}, {"r2", 200}, {"r4", 100}, {"r5", 200}};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(joined.cols[0]->GetValue(i).AsStr(), want[i].first);
+    EXPECT_EQ(joined.cols[1]->GetValue(i).AsI64(), want[i].second);
+  }
+}
+
 TEST_F(EngineTest, PerBatchContinuousQuery) {
   Exec("CREATE STREAM s (v int)");
   const int qid = Submit("SELECT v FROM s WHERE v >= 10",

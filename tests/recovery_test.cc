@@ -24,6 +24,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -253,6 +254,30 @@ TEST(WalCodec, EncodingIsByteIdenticalToTheFormat) {
   EXPECT_EQ(Hex(storage::EncodeRemove(42)), "0c2a00000000000000");
 }
 
+// AppendBatch frames the batch in the buffer it encodes it into; the
+// bytes on disk are those of FrameRecord(EncodeBatch(...)).
+TEST(WalCodec, AppendBatchWritesTheFramedEncoding) {
+  const std::string dir = MakeTempDir("appendbatch");
+  const std::string path = dir + "/log.wal";
+  {
+    auto w = storage::WalWriter::Open(storage::WalEnv::Default(), path,
+                                      FsyncPolicy::kAlways, 1,
+                                      storage::WalCounters{});
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    ASSERT_TRUE((*w)->AppendBatch(9, 40, 3, GoldenColumns()).ok());
+    ASSERT_TRUE((*w)->AppendBatch(10, 43, 0, {}).ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(Hex(bytes),
+            Hex(std::string(storage::kWalMagic, sizeof(storage::kWalMagic)) +
+                storage::FrameRecord(
+                    storage::EncodeBatch(9, 40, 3, GoldenColumns())) +
+                storage::FrameRecord(storage::EncodeBatch(10, 43, 0, {}))));
+  RemoveDirRecursive(dir);
+}
+
 // Decoding restores every value and NULL, through the bulk path
 // (NULL-free fixed-width columns) and the per-row path alike.
 TEST(WalCodec, BatchesDecodeToTheirColumns) {
@@ -343,10 +368,7 @@ TEST(WalSegments, RotateAndDropWholeSegments) {
     ASSERT_TRUE(w.Sync().ok());
   };
   auto batch = [&](uint64_t ordinal, uint64_t begin, uint64_t end) {
-    ASSERT_TRUE(w.AppendBatch(begin, end,
-                              storage::EncodeBatch(ordinal, begin, end - begin,
-                                                   {}))
-                    .ok());
+    ASSERT_TRUE(w.AppendBatch(ordinal, begin, end - begin, {}).ok());
   };
   batch(0, 0, 10);
   rotate(10, 1);   // segment 0: [0, 10)
@@ -1169,10 +1191,11 @@ void RewriteLog(const std::string& path,
 }
 
 // A later segment's head is a continuity check, not a reset. When the
-// segment before it lost its tail (here: its last record cut off at a
+// segment before it lost its tail (here: its last batch cut off at a
 // record boundary, which no checksum can notice), the log ends there and
 // going live deletes the later segment; when the position matches but
-// the watermark does not, replay diverged and recovery refuses.
+// replay already ran past the head's watermark, no loss of the previous
+// segment's tail explains it, and recovery refuses.
 TEST_F(RecoveryTest, LaterSegmentHeadsAreContinuityChecks) {
   const std::vector<WRow> rows = WorkloadRows(30);
   {
@@ -1227,11 +1250,12 @@ TEST_F(RecoveryTest, LaterSegmentHeadsAreContinuityChecks) {
     EXPECT_EQ(rec.GetBasket("s")->HighSeq(), rows.size());
   }
 
-  // Segment 2's head at the right position with a different watermark.
+  // Segment 2's head at the right position, behind the replayed watermark.
   std::vector<storage::WalRecord> forged = scan2->records;
   ASSERT_EQ(forged[0].type, storage::WalRecordType::kReset);
   storage::WalReset head = *storage::DecodeReset(forged[0]);
-  head.watermark += 1;
+  ASSERT_GT(head.watermark, 0);
+  head.watermark -= 1;
   forged[0].body = storage::EncodeReset(head).substr(1);
   ASSERT_NO_FATAL_FAILURE(
       RewriteLog(storage::WalSegmentPath(twin, "s", 2), forged));
@@ -1242,6 +1266,80 @@ TEST_F(RecoveryTest, LaterSegmentHeadsAreContinuityChecks) {
   EXPECT_TRUE(std::filesystem::exists(storage::WalSegmentPath(twin, "s", 2)))
       << "a refused recovery deleted log segments";
   RemoveDirRecursive(twin);
+}
+
+// A heartbeat or seal at the end of a retired segment is not yet synced
+// when the next segment's head is written, and power loss may keep the
+// head but lose them (no order between writes to two files before an
+// fsync). The head is authoritative for both: recovery applies them.
+TEST_F(RecoveryTest, LaterSegmentHeadRestoresALostHeartbeatAndSeal) {
+  const std::vector<WRow> rows = WorkloadRows(10);
+  const int64_t wm = rows.back().ts_us + 1000000;
+  {
+    Engine e(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
+    WorkloadDdl(e);
+    WorkloadFeed(e, rows, 0, 0, rows.size());
+    ASSERT_TRUE(e.Heartbeat("s", wm).ok());
+    ASSERT_TRUE(e.SealStream("s").ok());
+    ASSERT_TRUE(e.Checkpoint().ok());  // s.1.wal's head: wm, sealed
+  }
+  const std::string seg0 = storage::WalSegmentPath(dir_, "s", 0);
+  auto scan0 = storage::ReadWalFile(seg0);
+  ASSERT_TRUE(scan0.ok());
+  std::vector<storage::WalRecord> lost = scan0->records;
+  ASSERT_EQ(lost.back().type, storage::WalRecordType::kSeal);
+  lost.pop_back();
+  ASSERT_EQ(lost.back().type, storage::WalRecordType::kHeartbeat);
+  ASSERT_EQ(*storage::DecodeHeartbeat(lost.back()), wm);
+  lost.pop_back();
+  ASSERT_NO_FATAL_FAILURE(RewriteLog(seg0, lost));
+
+  for (int restart = 0; restart < 2; ++restart) {
+    Engine rec(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
+    ASSERT_TRUE(rec.recovery_status().ok())
+        << rec.recovery_status().ToString();
+    Basket::LogPosition at;
+    rec.GetBasket("s")->WithLogPosition(
+        [&at](const Basket::LogPosition& p) { at = p; });
+    EXPECT_EQ(at.high_seq, rows.size());
+    EXPECT_EQ(at.watermark, wm);
+    EXPECT_TRUE(at.sealed);
+    EXPECT_TRUE(std::filesystem::exists(storage::WalSegmentPath(dir_, "s", 1)))
+        << "the segment whose head carries the state was deleted";
+  }
+}
+
+// A stream may be named `catalog`: its log segments are catalog.<n>.wal,
+// and the catalog log catalog.wal is never taken for a single-file
+// basket log, live or on recovery.
+TEST_F(RecoveryTest, StreamNamedCatalogKeepsTheCatalogLog) {
+  const auto push = [](Engine& e, int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      ASSERT_TRUE(
+          e.PushRow("catalog", {Value::Ts(i * 1000), Value::I64(i)}).ok());
+    }
+  };
+  {
+    Engine e(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
+    WorkloadDdl(e);
+    ASSERT_TRUE(e.Execute("CREATE STREAM catalog (ts timestamp, v int)").ok());
+    push(e, 0, 8);
+    ASSERT_TRUE(e.Checkpoint().ok());
+    push(e, 8, 12);
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir_ + "/catalog.wal"));
+  EXPECT_TRUE(
+      std::filesystem::exists(storage::WalSegmentPath(dir_, "catalog", 1)));
+  for (int restart = 0; restart < 2; ++restart) {
+    Engine rec(DurableSyncOptions(dir_, nullptr, FsyncPolicy::kAlways));
+    ASSERT_TRUE(rec.recovery_status().ok())
+        << rec.recovery_status().ToString();
+    ASSERT_TRUE(rec.StreamStats("s").ok()) << "DDL before the stream lost";
+    ASSERT_TRUE(rec.StreamStats("r").ok()) << "DDL before the stream lost";
+    ASSERT_NE(rec.GetBasket("catalog"), nullptr);
+    EXPECT_EQ(rec.GetBasket("catalog")->HighSeq(), 12u);
+    EXPECT_TRUE(std::filesystem::exists(dir_ + "/catalog.wal"));
+  }
 }
 
 // A single-file `<stream>.wal` from before segmented logs is read as

@@ -207,7 +207,8 @@ TEST(WalFuzz, RandomTornAndTruncatedFilesNeverDiverge) {
   for (const auto& per_query : oracle) ASSERT_GT(per_query.size(), 3u);
 
   // Pristine mid-stream state: two checkpoints deep, unsealed, gracefully
-  // shut down — catalog.wal, s.wal, r.wal, snapshot.dc, snapshot.prev.dc.
+  // shut down — catalog.wal, the s.<n>.wal and r.<n>.wal log segments
+  // still retained, snapshot.dc, snapshot.prev.dc.
   const std::string pristine = MakeTempDir("fuzzpristine");
   {
     Engine e(DurableSyncOptions(pristine, nullptr, FsyncPolicy::kInterval));
